@@ -1,24 +1,20 @@
 """One options object for every differencing entry point.
 
-Three PRs of feature growth left the public entry points with drifted
+Feature growth once left the public entry points with drifted
 signatures: :func:`repro.core.api.row_diff` grew ``paranoid`` and
-``record_trace``, :func:`repro.core.pipeline.diff_images` grew
-``canonical`` and the observability handles, and
-:func:`repro.core.parallel.parallel_diff_images` hard-coded the batched
-engine and silently dropped the rest.  Every new capability had to pick
-one signature to land on, and callers could not move between entry
-points without rewriting their keyword soup.
+``record_trace`` while :func:`repro.core.pipeline.diff_images` grew
+``canonical`` and the observability handles, so callers could not move
+between entry points without rewriting their keyword soup.
 
 :class:`DiffOptions` is the fix: a frozen, validated bundle of every
 knob the differencing stack understands, accepted uniformly by
-``row_diff``, ``diff_images``, ``parallel_diff_images`` and the
-:class:`repro.service.DiffService` request layer.  The pre-1.1 keyword
-spellings went through a full deprecation cycle (``DeprecationWarning``
-since the options landed) and are now a **hard error**:
-:func:`resolve_options` raises a typed
-:class:`~repro.errors.OptionsError` naming the offending keywords and
-the replacement, so a stale call site fails loudly at the boundary
-instead of silently drifting (see ``docs/API.md`` and CHANGELOG.md).
+``row_diff``, ``diff_images`` and the :class:`repro.service.DiffService`
+request layer.  The pre-1.1 per-knob keyword parameters went through a
+full deprecation cycle and were then removed from the signatures (see
+``docs/API.md`` and CHANGELOG.md); a bare engine-name string in the
+``options`` position still raises a typed
+:class:`~repro.errors.OptionsError` from :func:`resolve_options`,
+because that check guards outside input.
 
 Engine names are validated *here*, at construction / coercion time, so
 an unknown engine raises :class:`~repro.errors.UnknownEngineError` at
@@ -33,7 +29,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Literal,
-    Mapping,
     Optional,
     Tuple,
     Union,
@@ -188,38 +183,23 @@ IMAGE_DEFAULTS = DiffOptions(engine="batched")
 
 def resolve_options(
     options: Union[DiffOptions, str, None],
-    legacy: Mapping[str, Any],
     defaults: DiffOptions,
     caller: str,
 ) -> DiffOptions:
-    """Coerce ``(options, legacy kwargs)`` to one validated
+    """Coerce an entry point's ``options`` argument to one validated
     :class:`DiffOptions`.
 
     ``options`` must be a :class:`DiffOptions` or ``None`` (use
-    ``defaults``).  The entry points keep their pre-1.1 keyword
-    parameters (``legacy`` maps keyword names to values; ``None`` marks
-    keywords the caller did not pass) purely so stale call sites fail
-    with an actionable message: any passed legacy keyword — or a bare
-    engine name string in the ``options`` position — raises a typed
-    :class:`~repro.errors.OptionsError`.  The deprecation cycle is
-    documented in ``docs/API.md``; the break is noted in CHANGELOG.md.
+    ``defaults``).  A bare engine name string in the ``options``
+    position — the removed pre-1.1 spelling — raises a typed
+    :class:`~repro.errors.OptionsError` naming the replacement, so a
+    stale call site fails with an actionable message (see
+    ``docs/API.md`` and CHANGELOG.md).
     """
-    given = {k: v for k, v in legacy.items() if v is not None}
-    positional_engine = isinstance(options, str)
-    if positional_engine:
-        given.setdefault("engine", options)
-        options = None
-    base = defaults if options is None else options
-    if not given:
-        return base
-    if positional_engine and len(given) == 1:
-        what = "passing the engine as a bare string was removed"
-    else:
-        what = (
-            f"keyword argument(s) {', '.join(sorted(given))} were removed"
+    if isinstance(options, str):
+        raise OptionsError(
+            f"{caller}: passing the engine as a bare string was removed in "
+            f"1.1 after a deprecation cycle; pass options=DiffOptions(...) "
+            f"instead (see docs/API.md and CHANGELOG.md)"
         )
-    raise OptionsError(
-        f"{caller}: {what} in 1.1 after a deprecation cycle; pass "
-        f"options=DiffOptions(...) instead (see docs/API.md and "
-        f"CHANGELOG.md)"
-    )
+    return defaults if options is None else options

@@ -11,29 +11,19 @@ quantities the evaluation reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Union
+from typing import Callable, List, Optional
 
 from repro.errors import GeometryError, UnknownEngineError
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.batched import BatchedXorEngine
 from repro.core.machine import SystolicXorMachine, XorRunResult
-from repro.core.options import (
-    IMAGE_DEFAULTS,
-    DiffOptions,
-    EngineName,
-    resolve_options,
-)
+from repro.core.options import IMAGE_DEFAULTS, DiffOptions, resolve_options
 from repro.core.sequential import sequential_xor
 from repro.core.vectorized import VectorizedXorEngine
 from repro.systolic.stats import ActivityStats
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.profile import EngineProfiler
-    from repro.obs.tracing import Tracer
-
-__all__ = ["ImageDiffResult", "diff_images"]
+__all__ = ["ImageDiffResult", "assemble_image_diff", "diff_images"]
 
 
 @dataclass
@@ -79,23 +69,12 @@ class ImageDiffResult:
 def diff_images(
     image_a: RLEImage,
     image_b: RLEImage,
-    options: Union[DiffOptions, str, None] = None,
-    *,
-    engine: Optional[EngineName] = None,
-    canonical: Optional[bool] = None,
-    n_cells: Optional[int] = None,
-    tracer: Optional["Tracer"] = None,
-    metrics: Optional["MetricsRegistry"] = None,
-    probe: Optional["EngineProfiler"] = None,
+    options: Optional[DiffOptions] = None,
 ) -> ImageDiffResult:
     """Difference two equal-shape images.
 
     Configuration comes as one :class:`~repro.core.options.DiffOptions`
-    (``options=``); the individual keyword arguments are the removed
-    pre-1.1 spellings, kept in the signature purely so a stale call
-    site raises a typed :class:`~repro.errors.OptionsError` naming the
-    replacement instead of an opaque ``TypeError`` (see ``docs/API.md``
-    and CHANGELOG.md).  Unknown engine names are rejected at
+    (``options=``).  Unknown engine names are rejected at
     :class:`DiffOptions` construction with
     :class:`~repro.errors.UnknownEngineError` — never from deep inside
     dispatch.
@@ -127,29 +106,18 @@ def diff_images(
         per-iteration convergence sampling (batched and vectorized
         engines only).
     """
-    opts = resolve_options(
-        options,
-        {
-            "engine": engine,
-            "canonical": canonical,
-            "n_cells": n_cells,
-            "tracer": tracer,
-            "metrics": metrics,
-            "probe": probe,
-        },
-        IMAGE_DEFAULTS,
-        "diff_images",
-    )
-    if image_a.shape != image_b.shape:
-        raise GeometryError(f"image shapes differ: {image_a.shape} vs {image_b.shape}")
+    opts = resolve_options(options, IMAGE_DEFAULTS, "diff_images")
+    tracer = opts.tracer
 
-    if opts.tracer is None:
-        result = _diff_images_inner(image_a, image_b, opts)
-    else:
-        with opts.tracer.span(
-            "image_diff", engine=opts.engine, rows=image_a.height, width=image_a.width
+    def run(rows_a: List[RLERow], rows_b: List[RLERow]) -> List[XorRunResult]:
+        if tracer is None:
+            return _diff_rows(rows_a, rows_b, opts)
+        with tracer.span(
+            "image_diff", engine=opts.engine, rows=len(rows_a), width=image_a.width
         ):
-            result = _diff_images_inner(image_a, image_b, opts)
+            return _diff_rows(rows_a, rows_b, opts)
+
+    result = assemble_image_diff(image_a, image_b, run, opts.canonical)
     if opts.metrics is not None:
         from repro.obs.metrics import record_image_diff
 
@@ -157,24 +125,43 @@ def diff_images(
     return result
 
 
-def _diff_images_inner(
+def assemble_image_diff(
     image_a: RLEImage,
     image_b: RLEImage,
-    opts: DiffOptions,
+    diff_rows: Callable[[List[RLERow], List[RLERow]], List[XorRunResult]],
+    canonical: bool,
 ) -> ImageDiffResult:
+    """An image diff as its row pairs: check the shapes, run
+    ``diff_rows`` over the two images' rows, and assemble the
+    difference image (merged runs when ``canonical``).
+
+    Every whole-image entry point — this module, the services and the
+    sharded tier — goes through here, so they differ only in how the
+    rows are served.
+    """
+    if image_a.shape != image_b.shape:
+        raise GeometryError(f"image shapes differ: {image_a.shape} vs {image_b.shape}")
+    row_results = diff_rows(list(image_a), list(image_b))
+    return ImageDiffResult(
+        image=RLEImage(
+            (r.canonical_result if canonical else r.result for r in row_results),
+            width=image_a.width,
+        ),
+        row_results=row_results,
+    )
+
+
+def _diff_rows(
+    rows_a: List[RLERow],
+    rows_b: List[RLERow],
+    opts: DiffOptions,
+) -> List[XorRunResult]:
     engine, n_cells = opts.engine, opts.n_cells
-    tracer, probe, canonical = opts.tracer, opts.probe, opts.canonical
+    tracer, probe = opts.tracer, opts.probe
     if engine == "batched":
-        row_results = BatchedXorEngine(
+        return BatchedXorEngine(
             n_cells=n_cells, tracer=tracer, probe=probe
-        ).diff_rows(list(image_a), list(image_b))
-        return ImageDiffResult(
-            image=RLEImage(
-                (r.canonical_result if canonical else r.result for r in row_results),
-                width=image_a.width,
-            ),
-            row_results=row_results,
-        )
+        ).diff_rows(rows_a, rows_b)
 
     if engine == "systolic":
         machine = SystolicXorMachine(n_cells=n_cells, paranoid=opts.paranoid)
@@ -196,18 +183,12 @@ def _diff_images_inner(
         raise UnknownEngineError(f"unknown engine {engine!r}")
 
     row_results: List[XorRunResult] = []
-    out_rows: List[RLERow] = []
-    for i, (ra, rb) in enumerate(zip(image_a, image_b)):
+    for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
         if tracer is None:
-            result = run(ra, rb)
+            row_results.append(run(ra, rb))
         else:
             with tracer.span("row", index=i) as span:
                 result = run(ra, rb)
                 span.set_attribute("iterations", result.iterations)
-        row_results.append(result)
-        out_rows.append(result.canonical_result if canonical else result.result)
-
-    return ImageDiffResult(
-        image=RLEImage(out_rows, width=image_a.width),
-        row_results=row_results,
-    )
+            row_results.append(result)
+    return row_results

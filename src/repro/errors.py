@@ -42,11 +42,10 @@ class UnknownEngineError(SystolicError):
 
 
 class OptionsError(ReproError):
-    """A pre-1.1 legacy options spelling was used.
+    """A removed pre-1.1 options spelling was used.
 
-    The individual keyword arguments (``engine=``, ``tracer=``, ...)
-    and the bare positional engine string were deprecated when
-    :class:`repro.core.options.DiffOptions` landed and are now a hard
+    The bare positional engine string was deprecated when
+    :class:`repro.core.options.DiffOptions` landed and is now a hard
     error: pass ``options=DiffOptions(...)`` instead (see
     ``docs/API.md`` and CHANGELOG.md for the migration)."""
 

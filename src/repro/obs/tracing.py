@@ -23,8 +23,6 @@ Span taxonomy (see docs/OBSERVABILITY.md for the full catalogue):
 ``step``              one systolic iteration of a batch
 ``row``               one row diffed by a per-row engine loop
 ``measure_row_phases``  the timing model's measurement pass
-``parallel_diff``     one pool-parallel image diff (parent side)
-``chunk``             one worker chunk (duration measured in-worker)
 ``inspect`` / ``align`` / ``diff`` / ``extract``  inspection stages
 ====================  ================================================
 

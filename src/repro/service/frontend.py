@@ -59,7 +59,7 @@ from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.machine import XorRunResult
 from repro.core.options import IMAGE_DEFAULTS, DiffOptions, resolve_options
-from repro.core.pipeline import ImageDiffResult
+from repro.core.pipeline import ImageDiffResult, assemble_image_diff
 from repro.obs.context import RequestContext, encode_context, new_request_id
 from repro.obs.log import StructuredLog, decode_event
 from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry, MetricsSnapshot
@@ -75,6 +75,7 @@ from repro.service.shard import (
     decode_span,
     encode_options,
     encode_result,
+    encode_row,
     worker_main,
 )
 from repro.service.stream import (
@@ -101,6 +102,17 @@ __all__ = [
 #: as the current version, so pre-versioning clients keep working).
 #: See the op-vocabulary table in ``docs/SERVING.md``.
 PROTOCOL_VERSION = 1
+
+#: Longest request line the TCP server reads, in bytes (the asyncio
+#: ``StreamReader`` default, made explicit).  A longer line is answered
+#: with a typed :class:`~repro.errors.ProtocolError` and the connection
+#: is closed.
+MAX_REQUEST_LINE = 64 * 1024
+
+#: Seconds the server keeps reading (and discarding) what a peer still
+#: sends after an over-long line, so closing the socket does not reset
+#: the connection before the peer has read its error reply.
+_OVERSIZE_DRAIN_S = 1.0
 
 
 # --------------------------------------------------------------------- #
@@ -287,7 +299,7 @@ class ShardedDiffService:
     ) -> None:
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
-        opts = resolve_options(options, {}, IMAGE_DEFAULTS, "ShardedDiffService")
+        opts = resolve_options(options, IMAGE_DEFAULTS, "ShardedDiffService")
         self.options = opts.without_observability()
         if policy is None:
             policy = opts.resilience
@@ -576,8 +588,8 @@ class ShardedDiffService:
         first_error: Optional[BaseException] = None
         for shard, indices in sorted(by_shard.items()):
             payload = (
-                tuple(_encode_row(rows_a[i]) for i in indices),
-                tuple(_encode_row(rows_b[i]) for i in indices),
+                tuple(encode_row(rows_a[i]) for i in indices),
+                tuple(encode_row(rows_b[i]) for i in indices),
                 ctx_wire,
             )
             try:
@@ -871,20 +883,8 @@ class ShardedDiffService:
     def diff_images(self, image_a: RLEImage, image_b: RLEImage) -> ImageDiffResult:
         """Whole-image diff through the shards; same assembly contract
         as :meth:`DiffService.diff_images` (honours ``canonical``)."""
-        if image_a.shape != image_b.shape:
-            raise GeometryError(
-                f"image shapes differ: {image_a.shape} vs {image_b.shape}"
-            )
-        row_results = self.diff_rows(list(image_a), list(image_b))
-        return ImageDiffResult(
-            image=RLEImage(
-                (
-                    r.canonical_result if self.options.canonical else r.result
-                    for r in row_results
-                ),
-                width=image_a.width,
-            ),
-            row_results=row_results,
+        return assemble_image_diff(
+            image_a, image_b, self.diff_rows, self.options.canonical
         )
 
     # -- lifecycle ------------------------------------------------------ #
@@ -902,10 +902,6 @@ class ShardedDiffService:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def _encode_row(row: RLERow) -> Tuple[Tuple[Tuple[int, int], ...], Optional[int]]:
-    return (tuple((r.start, r.length) for r in row.runs), row.width)
 
 
 # --------------------------------------------------------------------- #
@@ -972,7 +968,7 @@ class ShardedServer:
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_REQUEST_LINE
         )
         sockets = self._server.sockets
         if sockets:
@@ -994,6 +990,8 @@ class ShardedServer:
             # close; ending the task normally (instead of cancelled)
             # keeps asyncio's stream callback from logging a traceback
             pass
+        except OSError:  # peer reset or gone mid-reply
+            pass
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -1001,23 +999,31 @@ class ShardedServer:
         loop = asyncio.get_running_loop()
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # the line overran MAX_REQUEST_LINE and the reader
+                    # has lost its framing: answer once, then hang up
+                    writer.write(
+                        _protocol_error_line(
+                            f"request line exceeds {MAX_REQUEST_LINE} bytes"
+                        )
+                    )
+                    await writer.drain()
+                    await _discard_input(reader, writer)
+                    break
                 if not line:
                     break
                 try:
                     request = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    # unparseable lines never reach _dispatch, so the
-                    # version stamp has to happen here too
-                    response = _error_response(
-                        ProtocolError(f"request is not valid JSON: {exc}")
-                    )
-                    response["v"] = PROTOCOL_VERSION
+                    reply = _protocol_error_line(f"request is not valid JSON: {exc}")
                 else:
                     response = await loop.run_in_executor(
                         None, self._dispatch, request
                     )
-                writer.write(json.dumps(response).encode("utf-8") + b"\n")
+                    reply = json.dumps(response).encode("utf-8") + b"\n"
+                writer.write(reply)
                 await writer.drain()
         finally:
             writer.close()
@@ -1157,6 +1163,33 @@ class ShardedServer:
 
 def _error_response(exc: ReproError) -> Dict[str, Any]:
     return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
+
+
+def _protocol_error_line(message: str) -> bytes:
+    """A versioned ``ProtocolError`` reply for a line that never reaches
+    :meth:`ShardedServer._dispatch` (which stamps the version itself)."""
+    response = _error_response(ProtocolError(message))
+    response["v"] = PROTOCOL_VERSION
+    return json.dumps(response).encode("utf-8") + b"\n"
+
+
+async def _discard_input(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then read and drop whatever the peer still sends
+    (for at most :data:`_OVERSIZE_DRAIN_S`), so the coming close is an
+    orderly one rather than a reset under the peer's unread reply."""
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def drain() -> None:
+        while await reader.read(MAX_REQUEST_LINE):
+            pass
+
+    try:
+        await asyncio.wait_for(drain(), _OVERSIZE_DRAIN_S)
+    except asyncio.TimeoutError:
+        pass
 
 
 def _required_session_id(request: Dict[str, Any]) -> str:
@@ -1322,8 +1355,8 @@ class ShardClient:
         call into their own trace)."""
         request: Dict[str, Any] = {
             "op": "diff_rows",
-            "rows_a": [_encode_row(r) for r in rows_a],
-            "rows_b": [_encode_row(r) for r in rows_b],
+            "rows_a": [encode_row(r) for r in rows_a],
+            "rows_b": [encode_row(r) for r in rows_b],
         }
         if request_id is not None:
             request["request_id"] = request_id

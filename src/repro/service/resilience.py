@@ -79,7 +79,7 @@ from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.machine import XorRunResult
 from repro.core.options import DiffOptions, IMAGE_DEFAULTS, resolve_options
-from repro.core.pipeline import ImageDiffResult
+from repro.core.pipeline import ImageDiffResult, assemble_image_diff
 from repro.obs.log import StructuredLog
 from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram
 from repro.service.batcher import (
@@ -405,7 +405,7 @@ def validate_result(
         raise CorruptResultError(
             f"negative iteration count {result.iterations}"
         )
-    if result.n_cells < 1:
+    if result.n_cells < _min_cells(options):
         raise CorruptResultError(f"impossible n_cells {result.n_cells}")
     if (
         row_a.width is not None
@@ -418,13 +418,21 @@ def validate_result(
         )
 
 
+#: How a request's rows are served inside the request path:
+#: ``(rows_a, rows_b, start, budget) -> results``.
+_ServeFn = Callable[
+    [List[RLERow], List[RLERow], float, Optional[float]], List[XorRunResult]
+]
+
+
 class ResilientDiffService:
     """A :class:`~repro.service.DiffService` wrapped in the
     :class:`ResiliencePolicy` failure machinery.
 
     Same request surface as the inner service (``row_diff``,
-    ``submit_row_diff``, ``diff_images``, ``stats``, ``close``, context
-    manager) with the guarantees layered on top:
+    ``submit_row_diff``, ``diff_images``, ``diff_rows``, ``stats``,
+    ``close``, context manager), every request running one request path
+    (:meth:`_serve`) with the guarantees layered on top:
 
     - every engine batch runs through the retry/validation wrapper
       *before* its results can reach the cache;
@@ -470,7 +478,7 @@ class ResilientDiffService:
         rng: Optional[random.Random] = None,
         log: Optional[StructuredLog] = None,
     ) -> None:
-        opts = resolve_options(options, {}, IMAGE_DEFAULTS, "ResilientDiffService")
+        opts = resolve_options(options, IMAGE_DEFAULTS, "ResilientDiffService")
         if policy is None:
             policy = opts.resilience
         self.policy = policy if policy is not None else ResiliencePolicy()
@@ -593,7 +601,7 @@ class ResilientDiffService:
         return info
 
     # ------------------------------------------------------------------ #
-    # Row requests                                                       #
+    # Requests: thin wrappers over the one request path (_serve)         #
     # ------------------------------------------------------------------ #
     def submit_row_diff(
         self, row_a: RLERow, row_b: RLERow
@@ -608,7 +616,7 @@ class ResilientDiffService:
         ``future.result(timeout=...)`` or :meth:`row_diff`).
         """
         if not self.breaker.allow():
-            result = self._degraded_row_lookup(row_a, row_b)
+            [result] = self._degraded_lookup("row_diff", [row_a], [row_b])
             future: "Future[XorRunResult]" = Future()
             future.set_result(result)
             return future
@@ -623,54 +631,19 @@ class ResilientDiffService:
     ) -> XorRunResult:
         """Synchronous row diff under the full policy: breaker
         admission, per-request deadline (``deadline`` overrides
-        ``policy.deadline``), retries and validation.  ``request_id``
-        stamps the request's log events (see
+        ``policy.deadline``), retries and validation.  The row goes
+        through the queued path (:meth:`submit_row_diff`), so
+        concurrent callers coalesce into shared engine batches; the
+        wait for it is bounded by the deadline.  ``request_id`` stamps
+        the request's log events (see
         :class:`~repro.obs.context.RequestContext`).
         """
         with self._observe_request("row_diff", request_id, 1):
-            return self._row_diff_inner(row_a, row_b, deadline)
-
-    def _row_diff_inner(
-        self,
-        row_a: RLERow,
-        row_b: RLERow,
-        deadline: Optional[float],
-    ) -> XorRunResult:
-        budget = deadline if deadline is not None else self.policy.deadline
-        start = self._clock()
-        if not self.breaker.allow():
-            return self._degraded_row_lookup(row_a, row_b)
-        try:
-            result = self._await(
-                self._service.submit_row_diff(row_a, row_b), start, budget
+            [result] = self._serve(
+                "row_diff", [row_a], [row_b], deadline, self._serve_queued
             )
-            if self.policy.validate_results:
-                result = self._heal_row(row_a, row_b, result, start, budget)
-        except _CALLER_ERRORS:
-            raise
-        except ServiceOverloadError:
-            raise
-        except DeadlineExceededError:
-            self._count_deadline()
-            self.breaker.record_failure()
-            raise
-        except ReproError:
-            self._count_outcome("failed")
-            self.breaker.record_failure()
-            raise
-        except Exception as exc:
-            self._count_outcome("failed")
-            self.breaker.record_failure()
-            raise RetryExhaustedError(
-                f"row diff failed with untyped {type(exc).__name__}: {exc}"
-            ) from exc
-        self._count_outcome("ok")
-        self.breaker.record_success()
-        return result
+            return result
 
-    # ------------------------------------------------------------------ #
-    # Image requests                                                     #
-    # ------------------------------------------------------------------ #
     def diff_images(
         self,
         image_a: RLEImage,
@@ -688,49 +661,14 @@ class ResilientDiffService:
         returning late results.
         """
         with self._observe_request("diff_images", request_id, image_a.height):
-            return self._diff_images_inner(image_a, image_b, deadline)
-
-    def _diff_images_inner(
-        self,
-        image_a: RLEImage,
-        image_b: RLEImage,
-        deadline: Optional[float],
-    ) -> ImageDiffResult:
-        budget = deadline if deadline is not None else self.policy.deadline
-        start = self._clock()
-        if not self.breaker.allow():
-            return self._degraded_image_lookup(image_a, image_b)
-        try:
-            result = self._service.diff_images(image_a, image_b)
-            if self.policy.validate_results:
-                result = self._heal_image(image_a, image_b, result)
-        except _CALLER_ERRORS:
-            raise
-        except ServiceOverloadError:
-            raise
-        except DeadlineExceededError:
-            self._count_deadline()
-            self.breaker.record_failure()
-            raise
-        except ReproError:
-            self._count_outcome("failed")
-            self.breaker.record_failure()
-            raise
-        except Exception as exc:
-            self._count_outcome("failed")
-            self.breaker.record_failure()
-            raise RetryExhaustedError(
-                f"image diff failed with untyped {type(exc).__name__}: {exc}"
-            ) from exc
-        if budget is not None and self._clock() - start > budget:
-            self._count_deadline()
-            self.breaker.record_failure()
-            raise DeadlineExceededError(
-                f"image diff completed after its {budget:g}s deadline"
+            return assemble_image_diff(
+                image_a,
+                image_b,
+                lambda rows_a, rows_b: self._serve(
+                    "diff_images", rows_a, rows_b, deadline, self._serve_bulk
+                ),
+                self.options.canonical,
             )
-        self._count_outcome("ok")
-        self.breaker.record_success()
-        return result
 
     def diff_rows(
         self,
@@ -750,25 +688,37 @@ class ResilientDiffService:
         originating request's identity.
         """
         with self._observe_request("diff_rows", request_id, len(rows_a)):
-            return self._diff_rows_inner(rows_a, rows_b, deadline)
+            return self._serve(
+                "diff_rows", list(rows_a), list(rows_b), deadline, self._serve_bulk
+            )
 
-    def _diff_rows_inner(
+    # ------------------------------------------------------------------ #
+    # The request path                                                   #
+    # ------------------------------------------------------------------ #
+    def _serve(
         self,
-        rows_a: Sequence[RLERow],
-        rows_b: Sequence[RLERow],
+        op: str,
+        rows_a: List[RLERow],
+        rows_b: List[RLERow],
         deadline: Optional[float],
+        serve: _ServeFn,
     ) -> List[XorRunResult]:
+        """The one request path every entry point runs: breaker
+        admission, ``serve``, heal, the typed-error ladder, the deadline
+        check, and outcome/breaker recording."""
+        if len(rows_a) != len(rows_b):
+            raise GeometryError(
+                f"row sequences differ in length: {len(rows_a)} vs {len(rows_b)}"
+            )
         budget = deadline if deadline is not None else self.policy.deadline
         start = self._clock()
         if not self.breaker.allow():
-            return self._degraded_rows_lookup(rows_a, rows_b)
+            return self._degraded_lookup(op, rows_a, rows_b)
         try:
-            results = self._service.diff_rows(rows_a, rows_b)
+            results = serve(rows_a, rows_b, start, budget)
             if self.policy.validate_results:
-                results = self._heal_rows(rows_a, rows_b, results)
-        except _CALLER_ERRORS:
-            raise
-        except ServiceOverloadError:
+                results = self._heal(rows_a, rows_b, results, serve, start, budget)
+        except _CALLER_ERRORS + (ServiceOverloadError,):
             raise
         except DeadlineExceededError:
             self._count_deadline()
@@ -782,17 +732,39 @@ class ResilientDiffService:
             self._count_outcome("failed")
             self.breaker.record_failure()
             raise RetryExhaustedError(
-                f"bulk row diff failed with untyped {type(exc).__name__}: {exc}"
+                f"{op} failed with untyped {type(exc).__name__}: {exc}"
             ) from exc
         if budget is not None and self._clock() - start > budget:
             self._count_deadline()
             self.breaker.record_failure()
             raise DeadlineExceededError(
-                f"bulk row diff completed after its {budget:g}s deadline"
+                f"{op} completed after its {budget:g}s deadline"
             )
         self._count_outcome("ok")
         self.breaker.record_success()
         return results
+
+    def _serve_queued(
+        self,
+        rows_a: List[RLERow],
+        rows_b: List[RLERow],
+        start: float,
+        budget: Optional[float],
+    ) -> List[XorRunResult]:
+        """One row through the coalescing queue, waited on under the
+        deadline."""
+        future = self._service.submit_row_diff(rows_a[0], rows_b[0])
+        return [self._await(future, start, budget)]
+
+    def _serve_bulk(
+        self,
+        rows_a: List[RLERow],
+        rows_b: List[RLERow],
+        start: float,
+        budget: Optional[float],
+    ) -> List[XorRunResult]:
+        """Rows as one bulk request to the inner service."""
+        return self._service.diff_rows(rows_a, rows_b)
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                          #
@@ -837,12 +809,13 @@ class ResilientDiffService:
                 if policy.validate_results:
                     # inlined fast path: one predicate per row, and only
                     # a failing row pays for the full (raising) check
+                    min_cells = _min_cells(options)
                     for row_a, row_b, result in zip(rows_a, rows_b, results):
                         if (
                             result.k1 != row_a.run_count
                             or result.k2 != row_b.run_count
                             or result.iterations < 0
-                            or result.n_cells < 1
+                            or result.n_cells < min_cells
                             or (
                                 row_a.width is not None
                                 and result.result.width is not None
@@ -898,78 +871,18 @@ class ResilientDiffService:
                 f"row diff still pending after its {budget:g}s deadline"
             ) from None
 
-    def _heal_row(
+    def _heal(
         self,
-        row_a: RLERow,
-        row_b: RLERow,
-        result: XorRunResult,
+        rows_a: List[RLERow],
+        rows_b: List[RLERow],
+        results: List[XorRunResult],
+        serve: _ServeFn,
         start: float,
         budget: Optional[float],
-    ) -> XorRunResult:
-        """Validate a served row result; a corrupt one (a rotted cache
-        entry — computed results were already validated upstream) is
-        invalidated and recomputed once."""
-        if self._service.cache is None:
-            # no cache, no rot: the result came straight out of the
-            # validated compute chain — don't pay for a second pass
-            return result
-        try:
-            validate_result(self.options, row_a, row_b, result)
-            return result
-        except CorruptResultError:
-            cache = self._service.cache
-            if cache is not None:
-                cache.invalidate(cache.key_for(row_a, row_b, self.options))
-            self._count_retry()
-            self._count_healed()
-            fresh = self._await(
-                self._service.submit_row_diff(row_a, row_b), start, budget
-            )
-            validate_result(self.options, row_a, row_b, fresh)
-            return fresh
-
-    def _heal_image(
-        self,
-        image_a: RLEImage,
-        image_b: RLEImage,
-        result: ImageDiffResult,
-    ) -> ImageDiffResult:
-        """Validate every row of a served image; invalidate any corrupt
-        cache entries and recompute the image once."""
-        cache = self._service.cache
-        if cache is None:
-            # no cache, no rot: every row came straight out of the
-            # validated compute chain — don't pay for a second pass
-            return result
-        corrupt = [
-            (row_a, row_b)
-            for row_a, row_b, row_result in zip(
-                image_a, image_b, result.row_results
-            )
-            if not _is_valid(self.options, row_a, row_b, row_result)
-        ]
-        if not corrupt:
-            return result
-        for row_a, row_b in corrupt:
-            cache.invalidate(cache.key_for(row_a, row_b, self.options))
-        self._count_retry()
-        self._count_healed()
-        fresh = self._service.diff_images(image_a, image_b)
-        for row_a, row_b, row_result in zip(
-            image_a, image_b, fresh.row_results
-        ):
-            validate_result(self.options, row_a, row_b, row_result)
-        return fresh
-
-    def _heal_rows(
-        self,
-        rows_a: Sequence[RLERow],
-        rows_b: Sequence[RLERow],
-        results: List[XorRunResult],
     ) -> List[XorRunResult]:
-        """Validate every served row result; invalidate any corrupt
-        cache entries and recompute the batch once (the bulk analogue
-        of :meth:`_heal_image`)."""
+        """Validate every served row result.  A corrupt one is a rotted
+        cache entry (computed results were already validated upstream):
+        invalidate every corrupt entry and serve the request once more."""
         cache = self._service.cache
         if cache is None:
             # no cache, no rot: every row came straight out of the
@@ -986,35 +899,19 @@ class ResilientDiffService:
             cache.invalidate(cache.key_for(row_a, row_b, self.options))
         self._count_retry()
         self._count_healed()
-        fresh = self._service.diff_rows(rows_a, rows_b)
+        fresh = serve(rows_a, rows_b, start, budget)
         for row_a, row_b, result in zip(rows_a, rows_b, fresh):
             validate_result(self.options, row_a, row_b, result)
         return fresh
 
     # ------------------------------------------------------------------ #
-    # Degraded modes (breaker open / out of probes)                      #
+    # Degraded mode (breaker open / out of probes)                       #
     # ------------------------------------------------------------------ #
-    def _degraded_row_lookup(self, row_a: RLERow, row_b: RLERow) -> XorRunResult:
-        cache = self._service.cache
-        if cache is not None:
-            hit = cache.lookup(row_a, row_b, self.options)
-            if hit is not None and _is_valid(self.options, row_a, row_b, hit):
-                self._count_degraded("cache_only")
-                return hit
-        self._count_degraded("shed")
-        raise ServiceOverloadError(
-            "circuit breaker open: engine path disabled and the request "
-            "missed the cache — shedding load, retry after "
-            f"{self.policy.breaker_reset_timeout:g}s"
-        )
-
-    def _degraded_rows_lookup(
-        self, rows_a: Sequence[RLERow], rows_b: Sequence[RLERow]
+    def _degraded_lookup(
+        self, op: str, rows_a: List[RLERow], rows_b: List[RLERow]
     ) -> List[XorRunResult]:
-        if len(rows_a) != len(rows_b):
-            raise GeometryError(
-                f"row sequences differ in length: {len(rows_a)} vs {len(rows_b)}"
-            )
+        """Serve the request from the cache alone, or shed it: every
+        row must hit with a valid entry."""
         cache = self._service.cache
         served: List[XorRunResult] = []
         if cache is not None:
@@ -1026,47 +923,12 @@ class ResilientDiffService:
         if cache is None or len(served) < len(rows_a):
             self._count_degraded("shed")
             raise ServiceOverloadError(
-                "circuit breaker open: engine path disabled and the batch "
-                "is not fully cached — shedding load, retry after "
-                f"{self.policy.breaker_reset_timeout:g}s"
+                f"circuit breaker open: engine path disabled and the "
+                f"{op} request is not fully cached — shedding load, retry "
+                f"after {self.policy.breaker_reset_timeout:g}s"
             )
         self._count_degraded("cache_only")
         return served
-
-    def _degraded_image_lookup(
-        self, image_a: RLEImage, image_b: RLEImage
-    ) -> ImageDiffResult:
-        if image_a.shape != image_b.shape:
-            raise GeometryError(
-                f"image shapes differ: {image_a.shape} vs {image_b.shape}"
-            )
-        cache = self._service.cache
-        rows_a, rows_b = list(image_a), list(image_b)
-        served: List[XorRunResult] = []
-        if cache is not None:
-            for row_a, row_b in zip(rows_a, rows_b):
-                hit = cache.lookup(row_a, row_b, self.options)
-                if hit is None or not _is_valid(self.options, row_a, row_b, hit):
-                    break
-                served.append(hit)
-        if cache is None or len(served) < len(rows_a):
-            self._count_degraded("shed")
-            raise ServiceOverloadError(
-                "circuit breaker open: engine path disabled and the image "
-                "is not fully cached — shedding load, retry after "
-                f"{self.policy.breaker_reset_timeout:g}s"
-            )
-        self._count_degraded("cache_only")
-        return ImageDiffResult(
-            image=RLEImage(
-                (
-                    r.canonical_result if self.options.canonical else r.result
-                    for r in served
-                ),
-                width=image_a.width,
-            ),
-            row_results=served,
-        )
 
     # ------------------------------------------------------------------ #
     # Per-request observation (latency, SLO, lifecycle log events)       #
@@ -1206,6 +1068,12 @@ class ResilientDiffService:
                 from_state=from_state,
                 to_state=to_state,
             )
+
+
+def _min_cells(options: DiffOptions) -> int:
+    """The smallest ``n_cells`` a result can carry: the sequential
+    engine runs no array and reports 0."""
+    return 0 if options.engine == "sequential" else 1
 
 
 def _is_valid(

@@ -51,7 +51,7 @@ from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.machine import XorRunResult
 from repro.core.options import IMAGE_DEFAULTS, DiffOptions, resolve_options
-from repro.core.pipeline import ImageDiffResult
+from repro.core.pipeline import ImageDiffResult, assemble_image_diff
 from repro.obs.context import new_request_id
 from repro.obs.log import StructuredLog
 from repro.service.batcher import (
@@ -94,8 +94,9 @@ class DiffService:
     options:
         The :class:`~repro.core.options.DiffOptions` every request runs
         under (default: the image defaults — batched engine, automatic
-        sizing).  A bare engine-name string is accepted the same way the
-        functional API accepts one.  The ``metrics`` handle, if set, is
+        sizing).  A bare engine-name string is rejected with a typed
+        :class:`~repro.errors.OptionsError`, as in the functional API.
+        The ``metrics`` handle, if set, is
         where the service's cache and batch metric families land; the
         other observability handles are stripped (results served from a
         shared cache cannot depend on one caller's tracer or probe —
@@ -152,7 +153,7 @@ class DiffService:
         log: Optional[StructuredLog] = None,
         store_log: Optional[StructuredLog] = None,
     ) -> None:
-        opts = resolve_options(options, {}, IMAGE_DEFAULTS, "DiffService")
+        opts = resolve_options(options, IMAGE_DEFAULTS, "DiffService")
         self.options = opts.without_observability()
         self.log = log
         self._metrics: "Optional[MetricsRegistry]" = opts.metrics
@@ -228,22 +229,13 @@ class DiffService:
         :class:`~repro.core.pipeline.ImageDiffResult` matches the
         functional API's, honouring ``options.canonical``.
         """
-        if image_a.shape != image_b.shape:
-            raise GeometryError(
-                f"image shapes differ: {image_a.shape} vs {image_b.shape}"
-            )
-        row_results = self.diff_rows(
-            list(image_a), list(image_b), request_id=request_id
-        )
-        return ImageDiffResult(
-            image=RLEImage(
-                (
-                    r.canonical_result if self.options.canonical else r.result
-                    for r in row_results
-                ),
-                width=image_a.width,
+        return assemble_image_diff(
+            image_a,
+            image_b,
+            lambda rows_a, rows_b: self.diff_rows(
+                rows_a, rows_b, request_id=request_id
             ),
-            row_results=row_results,
+            self.options.canonical,
         )
 
     def diff_rows(

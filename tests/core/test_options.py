@@ -1,4 +1,4 @@
-"""DiffOptions: validation, cache keys, and the removed legacy spellings."""
+"""DiffOptions: validation, cache keys, and the removed bare-string spelling."""
 
 import warnings
 
@@ -21,9 +21,9 @@ from repro.core.options import (
     DiffOptions,
     validate_engine,
 )
-from repro.core.parallel import parallel_diff_images
 from repro.core.pipeline import diff_images
 from repro.obs.metrics import MetricsRegistry
+from repro.service import DiffService
 
 
 def small_images():
@@ -106,37 +106,20 @@ class TestDefaults:
 
 
 class TestRemovedLegacySpellings:
-    """The pre-1.1 keyword/positional spellings completed their
-    deprecation cycle and are now a typed hard error (see docs/API.md
-    and CHANGELOG.md) — stale call sites must fail loudly and
-    actionably, never silently drift."""
-
-    def test_legacy_kwarg_is_hard_error(self, paper_rows):
-        a, b, _ = paper_rows
-        with pytest.raises(OptionsError, match="row_diff.*engine"):
-            row_diff(a, b, engine="vectorized")
-
-    def test_error_names_every_offending_kwarg(self, paper_rows):
-        a, b, _ = paper_rows
-        with pytest.raises(OptionsError, match="engine.*paranoid"):
-            row_diff(a, b, engine="systolic", paranoid=True)
+    """The pre-1.1 bare engine-name string in the ``options`` position
+    is a typed hard error (see docs/API.md and CHANGELOG.md) — outside
+    input must fail loudly and actionably, never silently drift.  The
+    pre-1.1 keyword parameters are gone from the signatures."""
 
     def test_error_points_at_the_replacement(self, paper_rows):
         a, b, _ = paper_rows
-        with pytest.raises(OptionsError, match=r"DiffOptions\(.*docs/API\.md"):
-            row_diff(a, b, engine="vectorized")
+        with pytest.raises(OptionsError, match=r"row_diff.*DiffOptions\(.*docs/API\.md"):
+            row_diff(a, b, "vectorized")
 
     def test_bare_engine_string_is_hard_error(self, paper_rows):
         a, b, _ = paper_rows
         with pytest.raises(OptionsError, match="bare string"):
             row_diff(a, b, "sequential")
-
-    def test_kwarg_alongside_options_is_hard_error(self, paper_rows):
-        a, b, _ = paper_rows
-        with pytest.raises(OptionsError):
-            row_diff(
-                a, b, options=DiffOptions(engine="systolic"), engine="sequential"
-            )
 
     def test_options_error_is_catchable_as_repro_error(self):
         # catchability contract for callers with broad except clauses
@@ -147,16 +130,6 @@ class TestRemovedLegacySpellings:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             row_diff(a, b, options=DiffOptions(engine="batched"))
-
-    def test_diff_images_legacy_kwargs_hard_error(self):
-        image_a, image_b = small_images()
-        with pytest.raises(OptionsError, match="diff_images"):
-            diff_images(image_a, image_b, engine="vectorized")
-
-    def test_parallel_legacy_kwargs_hard_error(self):
-        image_a, image_b = small_images()
-        with pytest.raises(OptionsError, match="parallel_diff_images"):
-            parallel_diff_images(image_a, image_b, workers=1, engine="systolic")
 
 
 class TestBoundaryRejection:
@@ -175,11 +148,10 @@ class TestBoundaryRejection:
             diff_images(image_a, image_b, options=DiffOptions(engine="bogus"))
 
     def test_parallel(self):
-        image_a, image_b = small_images()
+        from repro.service import ShardedDiffService
+
         with pytest.raises(UnknownEngineError):
-            parallel_diff_images(
-                image_a, image_b, workers=2, options=DiffOptions(engine="bogus")
-            )
+            ShardedDiffService(DiffOptions(engine="bogus"), workers=2)
 
 
 class TestUniformOptionsAcrossEntryPoints:
@@ -190,9 +162,10 @@ class TestUniformOptionsAcrossEntryPoints:
         image_a, image_b = small_images()
         opts = DiffOptions(engine=engine)
         serial = diff_images(image_a, image_b, options=opts)
-        para = parallel_diff_images(image_a, image_b, workers=1, options=opts)
+        with DiffService(opts) as svc:
+            served = svc.diff_images(image_a, image_b)
         assert [r.to_pairs() for r in serial.image] == [
-            r.to_pairs() for r in para.image
+            r.to_pairs() for r in served.image
         ]
         row = row_diff(image_a[0], image_b[0], options=opts)
         assert row.result.to_pairs() == serial.row_results[0].result.to_pairs()

@@ -11,7 +11,6 @@ import pytest
 from repro.core.api import image_diff
 from repro.core.options import DiffOptions
 from repro.core.machine import SystolicXorMachine
-from repro.core.parallel import parallel_diff_images
 from repro.core.scheduler import row_costs, schedule
 from repro.core.timing import pipeline_timing
 from repro.core.verifier import verify_trace
@@ -22,6 +21,7 @@ from repro.rle.io import read_rle_text, write_rle_text, read_pbm, write_pbm
 from repro.rle.metrics import error_fraction
 from repro.rle.morphology import dilate_image
 from repro.rle.transpose import transpose
+from repro.service import ShardedDiffService
 from repro.systolic.trace import TraceRecorder
 from repro.workloads.suite import IMAGE_WORKLOADS, get_image_workload
 
@@ -75,7 +75,8 @@ class TestPCBScenario:
         serial = image_diff(
             reference, scan, options=DiffOptions(engine="vectorized")
         )
-        parallel = parallel_diff_images(reference, scan, workers=2)
+        with ShardedDiffService(workers=2, cache_bytes=0) as fleet:
+            parallel = fleet.diff_images(reference, scan)
         assert parallel.image == serial.image
 
     def test_deployment_and_timing_consistent(self, pair):

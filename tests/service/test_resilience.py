@@ -99,6 +99,34 @@ def make_images(rows=6, width=48, seed=5):
     return RLEImage.from_array(a), RLEImage.from_array(b)
 
 
+#: The public request entry points that run the one resilient request
+#: path; tests run over all of them to pin that every entry point gets
+#: the same degraded modes, self-healing, deadlines and accounting.
+ENTRY_POINTS = ("row_diff", "diff_rows", "diff_images")
+
+
+def request_rows(entry):
+    """A request's row pairs: one pair for ``row_diff``, an image's rows
+    for the bulk entry points."""
+    if entry == "row_diff":
+        return [ROW_A], [ROW_B]
+    a, b = make_images()
+    return list(a), list(b)
+
+
+def call(svc, entry, rows_a, rows_b, **kwargs):
+    """One request through ``entry``; returns its per-row results."""
+    if entry == "row_diff":
+        [row_a], [row_b] = rows_a, rows_b
+        return [svc.row_diff(row_a, row_b, **kwargs)]
+    if entry == "diff_rows":
+        return svc.diff_rows(rows_a, rows_b, **kwargs)
+    width = rows_a[0].width
+    return svc.diff_images(
+        RLEImage(rows_a, width=width), RLEImage(rows_b, width=width), **kwargs
+    ).row_results
+
+
 # --------------------------------------------------------------------- #
 # Policy validation                                                      #
 # --------------------------------------------------------------------- #
@@ -313,17 +341,29 @@ class TestDeadlines:
         # the budget permitted exactly two attempts (0.0s and 0.06s)
         assert chaos.injected["error"] == 2
 
-    def test_image_completing_late_is_rejected(self):
+    @staticmethod
+    def assert_late_result_rejected(entry):
+        """A request whose result arrives after its deadline raises
+        instead of returning late results."""
         clock = FakeClock()
 
         def slow(options, rows_a, rows_b):
             clock.advance(1.0)
             return compute_row_diffs(options, rows_a, rows_b)
 
-        a, b = make_images()
+        rows_a, rows_b = request_rows(entry)
         with ResilientDiffService(OPTS, compute=slow, clock=clock, **FAST) as svc:
             with pytest.raises(DeadlineExceededError):
-                svc.diff_images(a, b, deadline=0.5)
+                call(svc, entry, rows_a, rows_b, deadline=0.5)
+            assert svc.deadline_expirations == 1
+            assert svc.breaker.failure_rate == 1.0
+
+    def test_image_completing_late_is_rejected(self):
+        self.assert_late_result_rejected("diff_images")
+
+    @pytest.mark.parametrize("entry", ["row_diff", "diff_rows"])
+    def test_rows_completing_late_are_rejected(self, entry):
+        self.assert_late_result_rejected(entry)
 
     def test_no_deadline_means_no_expiry(self):
         with ResilientDiffService(OPTS, **FAST) as svc:
@@ -460,21 +500,23 @@ class TestCircuitBreaker:
 # --------------------------------------------------------------------- #
 class TestDegradedModes:
     def test_forced_open_serves_hits_and_sheds_misses(self):
-        registry = MetricsRegistry()
-        opts = DiffOptions(engine="batched", metrics=registry)
-        with ResilientDiffService(opts, policy=TWITCHY, **FAST) as svc:
-            warm = svc.row_diff(ROW_A, ROW_B)  # populate the cache
-            svc.breaker.trip()
-            degraded = svc.row_diff(ROW_A, ROW_B)
-            assert_identical(degraded, warm)
-            cold_a = RLERow.from_pairs([(5, 5)], width=32)
-            cold_b = RLERow.from_pairs([(6, 5)], width=32)
-            with pytest.raises(ServiceOverloadError):
-                svc.row_diff(cold_a, cold_b)
-            assert svc.degraded_serves == 1 and svc.shed == 1
-        family = registry.family("repro_resilience_degraded_total")
-        assert family.labels(mode="cache_only").value == 1.0
-        assert family.labels(mode="shed").value == 1.0
+        for entry in ENTRY_POINTS:
+            registry = MetricsRegistry()
+            opts = DiffOptions(engine="batched", metrics=registry)
+            rows_a, rows_b = request_rows(entry)
+            with ResilientDiffService(opts, policy=TWITCHY, **FAST) as svc:
+                warm = call(svc, entry, rows_a, rows_b)  # populate the cache
+                svc.breaker.trip()
+                degraded = call(svc, entry, rows_a, rows_b)
+                for served, want in zip(degraded, warm, strict=True):
+                    assert_identical(served, want)
+                # the reversed pairs were never computed: a full miss
+                with pytest.raises(ServiceOverloadError):
+                    call(svc, entry, rows_b, rows_a)
+                assert (svc.degraded_serves, svc.shed) == (1, 1), entry
+            family = registry.family("repro_resilience_degraded_total")
+            assert family.labels(mode="cache_only").value == 1.0, entry
+            assert family.labels(mode="shed").value == 1.0, entry
 
     def test_failures_open_the_breaker_end_to_end(self):
         chaos = ChaosEngine(ChaosSchedule([None, "error", "error"]))
@@ -592,17 +634,23 @@ class TestTypedBoundary:
 class TestSelfHealing:
     @pytest.mark.parametrize("flavour", [0, 1, 2])
     def test_rotted_row_entry_is_invalidated_and_recomputed(self, flavour):
-        with ResilientDiffService(OPTS, **FAST) as svc:
-            clean = svc.row_diff(ROW_A, ROW_B)
-            assert corrupt_cached_result(
-                svc.service.cache, ROW_A, ROW_B, svc.options, flavour=flavour
-            )
-            healed = svc.row_diff(ROW_A, ROW_B)
-            assert_identical(healed, clean)
-            assert svc.healed == 1
-            # and the cache now holds the good result again
-            stored = svc.service.cache.lookup(ROW_A, ROW_B, svc.options)
-            validate_result(svc.options, ROW_A, ROW_B, stored)
+        """One rotted row entry in a request is invalidated and the
+        request served once more, on every entry point."""
+        for entry in ENTRY_POINTS:
+            rows_a, rows_b = request_rows(entry)
+            row_a, row_b = rows_a[-1], rows_b[-1]
+            with ResilientDiffService(OPTS, **FAST) as svc:
+                clean = call(svc, entry, rows_a, rows_b)
+                assert corrupt_cached_result(
+                    svc.service.cache, row_a, row_b, svc.options, flavour=flavour
+                )
+                healed = call(svc, entry, rows_a, rows_b)
+                for served, want in zip(healed, clean, strict=True):
+                    assert_identical(served, want)
+                assert (svc.healed, svc.retries) == (1, 1), entry
+                # and the cache now holds the good result again
+                stored = svc.service.cache.lookup(row_a, row_b, svc.options)
+                validate_result(svc.options, row_a, row_b, stored)
 
     def test_rotted_image_entry_heals_whole_image(self):
         a, b = make_images()
@@ -646,6 +694,48 @@ class TestStatsAndLifecycle:
         ):
             assert key in stats
         assert stats["breaker_state"] == 0.0
+
+    def test_outcomes_and_events_match_across_entry_points(self):
+        """The one request path gives every entry point the same
+        outcome counters and the same lifecycle log events for the same
+        story: served, healed, served cache-only, shed."""
+        from repro.obs.log import StructuredLog
+
+        def story(entry):
+            registry, log = MetricsRegistry(), StructuredLog()
+            opts = DiffOptions(engine="batched", metrics=registry)
+            rows_a, rows_b = request_rows(entry)
+            with ResilientDiffService(opts, policy=TWITCHY, log=log, **FAST) as svc:
+                call(svc, entry, rows_a, rows_b)
+                corrupt_cached_result(
+                    svc.service.cache, rows_a[0], rows_b[0], svc.options
+                )
+                call(svc, entry, rows_a, rows_b)
+                svc.breaker.trip()
+                call(svc, entry, rows_a, rows_b)
+                with pytest.raises(ServiceOverloadError):
+                    call(svc, entry, rows_b, rows_a)
+                counters = {
+                    key: value
+                    for key, value in svc.stats().items()
+                    if key.startswith("resilience_")
+                }
+            outcomes = {
+                series.labels: series.value
+                for family in registry.snapshot().families
+                if family.name == "repro_resilience_requests_total"
+                for series in family.series
+            }
+            events = [(r["event"], r["level"]) for r in log.records()]
+            ops = {r["fields"]["op"] for r in log.records() if "op" in r["fields"]}
+            assert ops == {entry}
+            return counters, outcomes, events
+
+        row, rows, image = (story(entry) for entry in ENTRY_POINTS)
+        assert row == rows == image
+        counters, outcomes, _events = row
+        assert outcomes == {("ok",): 2.0, ("degraded",): 1.0, ("shed",): 1.0}
+        assert counters["resilience_healed"] == 1.0
 
     def test_breaker_transition_metrics(self):
         registry = MetricsRegistry()

@@ -28,6 +28,7 @@ from repro.service import (
     ShardedDiffService,
     ShardRing,
 )
+from repro.service.frontend import MAX_REQUEST_LINE
 from repro.workloads.motion import generate_sequence
 
 BATCHED = DiffOptions(engine="batched")
@@ -278,6 +279,20 @@ class TestWireProtocolVersioning:
         )
         assert response["error"] == "ProtocolError"
         assert "frame" in response["message"]
+
+    def test_oversized_line_gets_typed_reply(self, server, capfd, caplog):
+        """A request line past the server's read limit is answered with
+        a typed ProtocolError (then the connection closes) — no raw
+        traceback — and the server keeps serving new connections."""
+        line = json.dumps({"op": "ping", "pad": "x" * (70 * 1024)}).encode()
+        assert len(line) > MAX_REQUEST_LINE
+        response = self.raw_roundtrip(server, line)
+        assert response["ok"] is False
+        assert response["error"] == "ProtocolError"
+        assert response["v"] == PROTOCOL_VERSION
+        assert self.raw_roundtrip(server, b'{"op": "ping"}')["ok"] is True
+        assert capfd.readouterr().err == ""
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
     def test_id_echo(self, server):
         response = self.raw_roundtrip(
