@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["main", "build_parser"]
 
@@ -701,29 +702,73 @@ def _cmd_profile(
     return 0
 
 
-def _cmd_serve(
-    height: int,
-    width: int,
-    frames: int,
-    passes: int,
-    seed: int,
-    engine: str,
-    cache_mb: float,
-    min_hit_rate: Optional[float],
-    resilient: bool = False,
-    deadline: Optional[float] = None,
-    max_retries: int = 2,
-    chaos_rate: float = 0.0,
-    chaos_seed: int = 0,
-    max_shed: Optional[int] = None,
-    min_availability: Optional[float] = None,
-    stream: bool = False,
-    rekey_ratio: Optional[float] = None,
-    cache_dir: Optional[str] = None,
-    disk_mb: Optional[float] = None,
-) -> int:
-    from repro.errors import ReproError, ServiceOverloadError
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """``repro serve``: replay a synthetic motion clip, as frame pairs
+    or as one streaming session, through the in-process service, the
+    sharded service (``--workers``) or its TCP front-end (``--listen``),
+    and gate on the outcome."""
     from repro.core.options import DiffOptions, validate_engine
+    from repro.service import StreamPolicy
+    from repro.workloads.motion import generate_sequence
+
+    if args.workers and (
+        args.resilient or args.deadline is not None or args.chaos_rate
+    ):
+        # workers already serve through ResilientDiffService; chaos
+        # hooks are in-process only
+        print(
+            "error: --workers is incompatible with --resilient/"
+            "--deadline/--chaos-rate (each shard worker already "
+            "serves through ResilientDiffService; chaos injection "
+            "is in-process only)"
+        )
+        return 2
+    if not args.workers and (args.listen is not None or args.selftest):
+        print("error: --listen/--selftest require --workers N (N >= 1)")
+        return 2
+    address = None
+    if args.listen is not None:
+        address = _parse_listen(args.listen)
+        if address is None:
+            print(f"error: --listen expects HOST:PORT, got {args.listen!r}")
+            return 2
+    if args.selftest and address is None:
+        print("error: --selftest requires --listen")
+        return 2
+
+    clip = generate_sequence(
+        height=args.height, width=args.width, n_frames=args.frames, seed=args.seed
+    )
+    options = DiffOptions(
+        engine=validate_engine(args.engine),
+        cache_dir=args.cache_dir,
+        disk_budget=(
+            int(args.disk_mb * 1024 * 1024) if args.disk_mb is not None else None
+        ),
+    )
+    cache_bytes = int(args.cache_mb * 1024 * 1024)
+    policy = (
+        StreamPolicy(rekey_ratio=args.rekey_ratio)
+        if args.rekey_ratio is not None
+        else None
+    )
+    header = (
+        f"clip: {args.frames} frames of {args.height}x{args.width}, "
+        f"{args.passes} pass(es), engine {args.engine}, cache "
+    )
+    if args.workers:
+        return _serve_sharded(args, clip, options, cache_bytes, policy, address, header)
+    return _serve_in_process(args, clip, options, cache_bytes, policy, header)
+
+
+def _serve_in_process(
+    args: argparse.Namespace,
+    clip: List[Any],
+    options: Any,
+    cache_bytes: int,
+    policy: Any,
+    header: str,
+) -> int:
     from repro.obs.metrics import MetricsRegistry
     from repro.service import (
         ChaosEngine,
@@ -731,119 +776,60 @@ def _cmd_serve(
         DiffService,
         ResiliencePolicy,
         ResilientDiffService,
+        StreamingDiffService,
     )
-    from repro.workloads.motion import generate_sequence
 
-    resilient = resilient or deadline is not None or chaos_rate > 0
-    clip = generate_sequence(height=height, width=width, n_frames=frames, seed=seed)
+    resilient = args.resilient or args.deadline is not None or args.chaos_rate > 0
     registry = MetricsRegistry()
-    options = DiffOptions(
-        engine=validate_engine(engine),
-        metrics=registry,
-        cache_dir=cache_dir,
-        disk_budget=(
-            int(disk_mb * 1024 * 1024) if disk_mb is not None else None
-        ),
-    )
-    cache_bytes = int(cache_mb * 1024 * 1024)
+    options = options.replace(metrics=registry)
     print(
-        f"clip: {frames} frames of {height}x{width}, {passes} pass(es), "
-        f"engine {engine}, cache "
-        + (f"{cache_mb:g} MiB" if cache_bytes > 0 else "disabled")
-        + (f", persisted to {cache_dir}" if cache_dir is not None else "")
+        header
+        + (f"{args.cache_mb:g} MiB" if cache_bytes > 0 else "disabled")
+        + (f", persisted to {args.cache_dir}" if args.cache_dir is not None else "")
         + (", resilient" if resilient else "")
-        + (f", chaos rate {chaos_rate:g} (seed {chaos_seed})" if chaos_rate else "")
+        + (
+            f", chaos rate {args.chaos_rate:g} (seed {args.chaos_seed})"
+            if args.chaos_rate
+            else ""
+        )
     )
     chaos = (
-        ChaosEngine(ChaosSchedule.bernoulli(seed=chaos_seed, rate=chaos_rate))
-        if chaos_rate
+        ChaosEngine(ChaosSchedule.bernoulli(seed=args.chaos_seed, rate=args.chaos_rate))
+        if args.chaos_rate
         else None
     )
     if resilient:
-        policy = ResiliencePolicy(deadline=deadline, max_retries=max_retries)
         service = ResilientDiffService(
             options,
-            policy=policy,
+            policy=ResiliencePolicy(
+                deadline=args.deadline, max_retries=args.max_retries
+            ),
             cache_bytes=cache_bytes,
             compute=chaos,
         )
     else:
         service = DiffService(options, cache_bytes=cache_bytes)
-    total_pixels = served = failed = 0
     stream_stats = None
     with service:
-        if stream:
-            from repro.rle.ops2d import xor_images
-            from repro.service import StreamingDiffService, StreamPolicy
-
-            policy = (
-                StreamPolicy(rekey_ratio=rekey_ratio)
-                if rekey_ratio is not None
-                else None
-            )
-            mismatches = 0
+        if args.stream:
             with StreamingDiffService(
                 service, policy=policy, metrics=registry
             ) as streams:
-                sid = streams.open()
-                decoded = None
-                for _ in range(passes):
-                    for frame in clip:
-                        try:
-                            fd = streams.append_frame(sid, frame)
-                        except ServiceOverloadError:
-                            failed += 1
-                            continue
-                        except ReproError as exc:
-                            failed += 1
-                            print(
-                                f"  frame failed: {type(exc).__name__}: {exc}"
-                            )
-                            continue
-                        served += 1
-                        total_pixels += (
-                            0 if fd.frame_index == 0 else fd.delta.pixel_count
-                        )
-                        decoded = (
-                            fd.delta
-                            if decoded is None
-                            else xor_images(decoded, fd.delta)
-                        )
-                        if not decoded.same_pixels(frame):
-                            mismatches += 1
-                stream_stats = streams.close_session(sid)
-            if mismatches:
-                print(
-                    f"ERROR: {mismatches} decoded frame(s) not byte-identical "
-                    f"to the source clip"
+                played, stream_stats = _play_stream(
+                    streams.open, streams.append_frame, streams.close_session,
+                    clip, args.passes,
                 )
-                return 1
         else:
-            for _ in range(passes):
-                for prev, cur in zip(clip, clip[1:]):
-                    try:
-                        total_pixels += service.diff_images(prev, cur).difference_pixels
-                        served += 1
-                    except ServiceOverloadError:
-                        failed += 1  # shed by the breaker; already counted in stats
-                    except ReproError as exc:
-                        failed += 1
-                        print(f"  pair failed: {type(exc).__name__}: {exc}")
+            played = _play_pairs(
+                lambda prev, cur: (service.diff_images(prev, cur).difference_pixels, 0),
+                clip,
+                args.passes,
+            )
         stats = service.stats()
-    if stream and stream_stats is not None:
-        print(
-            f"stream: {int(stream_stats['frames'])} frames appended, "
-            f"{int(stream_stats['rekeys'])} rekeys, "
-            f"compression {stream_stats['compression_ratio']:.2f}x "
-            f"({int(stream_stats['shipped_runs'])} shipped / "
-            f"{int(stream_stats['raw_runs'])} raw runs); decoded frames "
-            f"byte-identical"
-        )
-        print(f"served {served} frames ({int(stats['requests'])} row requests)")
-    else:
-        pairs = passes * max(frames - 1, 0)
-        print(f"served {pairs} frame pairs ({int(stats['requests'])} row requests)")
-    print(f"motion pixels flagged: {total_pixels}")
+    served, failed, mismatches, total_pixels = played
+    if mismatches:
+        return 1
+    _print_served(served, total_pixels, stats, stream_stats)
     print(
         f"cache: {int(stats.get('hits', 0))} hits / "
         f"{int(stats.get('misses', 0))} misses "
@@ -852,7 +838,7 @@ def _cmd_serve(
         f"{int(stats.get('bytes', 0))} bytes, "
         f"{int(stats.get('evictions', 0))} evictions"
     )
-    if cache_dir is not None:
+    if args.cache_dir is not None:
         print(
             f"disk tier: {int(stats.get('disk_warm_entries', 0))} entries "
             f"warm at open, {int(stats.get('disk_hits', 0))} hits / "
@@ -886,22 +872,18 @@ def _cmd_serve(
                 f"chaos: {sum(injected.values())} faults injected over "
                 f"{calls} engine batches ({injected})"
             )
-    if min_hit_rate is not None and stats["hit_rate"] < min_hit_rate:
-        print(
-            f"ERROR: hit rate {stats['hit_rate']:.1%} below required "
-            f"{min_hit_rate:.1%}"
-        )
+    if _below_hit_rate(stats, args.min_hit_rate):
         return 1
-    if max_shed is not None and stats.get("resilience_shed", 0) > max_shed:
+    if args.max_shed is not None and stats.get("resilience_shed", 0) > args.max_shed:
         print(
             f"ERROR: {int(stats['resilience_shed'])} requests shed, "
-            f"more than the allowed {max_shed}"
+            f"more than the allowed {args.max_shed}"
         )
         return 1
-    if min_availability is not None and availability < min_availability:
+    if args.min_availability is not None and availability < args.min_availability:
         print(
             f"ERROR: availability {availability:.1%} below required "
-            f"{min_availability:.1%}"
+            f"{args.min_availability:.1%}"
         )
         return 1
     return 0
@@ -914,109 +896,54 @@ def _parse_listen(listen: str) -> Optional[tuple]:
     return (host or "127.0.0.1", int(port))
 
 
-def _cmd_serve_sharded(
-    height: int,
-    width: int,
-    frames: int,
-    passes: int,
-    seed: int,
-    engine: str,
-    cache_mb: float,
-    min_hit_rate: Optional[float],
-    workers: int,
-    listen: Optional[str],
-    selftest: bool,
-    stream: bool = False,
-    rekey_ratio: Optional[float] = None,
-    cache_dir: Optional[str] = None,
-    disk_mb: Optional[float] = None,
+def _serve_sharded(
+    args: argparse.Namespace,
+    clip: List[Any],
+    options: Any,
+    cache_bytes: int,
+    policy: Any,
+    address: Optional[tuple],
+    header: str,
 ) -> int:
-    from repro.core.options import DiffOptions, validate_engine
-    from repro.rle.ops2d import xor_images
-    from repro.service import (
-        DiffService,
-        ServerThread,
-        ShardClient,
-        ShardedDiffService,
-        StreamPolicy,
-    )
-    from repro.workloads.motion import generate_sequence
+    from repro.service import DiffService, ServerThread, ShardClient, ShardedDiffService
 
-    address = None
-    if listen is not None:
-        address = _parse_listen(listen)
-        if address is None:
-            print(f"error: --listen expects HOST:PORT, got {listen!r}")
-            return 2
-    if selftest and address is None:
-        print("error: --selftest requires --listen")
-        return 2
-
-    clip = generate_sequence(height=height, width=width, n_frames=frames, seed=seed)
-    options = DiffOptions(
-        engine=validate_engine(engine),
-        cache_dir=cache_dir,
-        disk_budget=(
-            int(disk_mb * 1024 * 1024) if disk_mb is not None else None
-        ),
-    )
-    cache_bytes = int(cache_mb * 1024 * 1024)
     print(
-        f"clip: {frames} frames of {height}x{width}, {passes} pass(es), "
-        f"engine {engine}, cache "
-        + (f"{cache_mb:g} MiB/worker" if cache_bytes > 0 else "disabled")
+        header
+        + (f"{args.cache_mb:g} MiB/worker" if cache_bytes > 0 else "disabled")
         + (
-            f", persisted to {cache_dir} (per-worker partitions)"
-            if cache_dir is not None
+            f", persisted to {args.cache_dir} (per-worker partitions)"
+            if args.cache_dir is not None
             else ""
         )
-        + f", {workers} shard worker(s)"
+        + f", {args.workers} shard worker(s)"
     )
     with ShardedDiffService(
-        options, workers=workers, cache_bytes=cache_bytes
+        options, workers=args.workers, cache_bytes=cache_bytes
     ) as service:
         service.ping()
-        policy = (
-            StreamPolicy(rekey_ratio=rekey_ratio)
-            if rekey_ratio is not None
-            else None
-        )
-        total_pixels = pairs_served = 0
         stream_stats = None
+        observability_error = None
         if address is None:
-            if stream:
-                # no TCP: drive the session straight through the
-                # sharded service (routed to one shard by session id)
-                sid = service.stream_open(policy=policy)
-                decoded = None
-                for _ in range(passes):
-                    for frame in clip:
-                        fd = service.stream_frame(sid, frame)
-                        pairs_served += 1
-                        if fd.frame_index > 0:
-                            total_pixels += fd.delta.pixel_count
-                        decoded = (
-                            fd.delta
-                            if decoded is None
-                            else xor_images(decoded, fd.delta)
-                        )
-                        if not decoded.same_pixels(frame):
-                            print(
-                                f"ERROR: decoded frame {fd.frame_index} is "
-                                f"not byte-identical to the source"
-                            )
-                            return 1
-                stream_stats = service.stream_close(sid)
+            # no TCP: drive the clip straight through the sharded
+            # service (a session routes to one shard by its id)
+            if args.stream:
+                played, stream_stats = _play_stream(
+                    lambda: service.stream_open(policy=policy),
+                    service.stream_frame, service.stream_close, clip, args.passes,
+                )
             else:
-                # no TCP: drive the clip straight through the sharded service
-                for _ in range(passes):
-                    for prev, cur in zip(clip, clip[1:]):
-                        total_pixels += service.diff_images(prev, cur).difference_pixels
-                        pairs_served += 1
+                played = _play_pairs(
+                    lambda prev, cur: (
+                        service.diff_images(prev, cur).difference_pixels,
+                        0,
+                    ),
+                    clip,
+                    args.passes,
+                )
         else:
             with ServerThread(service, host=address[0], port=address[1]) as server:
                 print(f"listening on {server.host}:{server.port}")
-                if not selftest:
+                if not args.selftest:
                     import threading
 
                     try:
@@ -1024,86 +951,60 @@ def _cmd_serve_sharded(
                     except KeyboardInterrupt:
                         print("interrupted — shutting down")
                     return 0
-                mismatches = 0
                 with ShardClient(server.host, server.port) as client, DiffService(
                     options, cache_bytes=cache_bytes
                 ) as reference:
-                    if client.ping() != workers:
+                    if client.ping() != args.workers:
                         print("ERROR: ping did not reach every worker")
                         return 1
-                    if stream:
-                        sid = client.stream_open(
-                            rekey_ratio=rekey_ratio,
+
+                    def diff_pair(prev: Any, cur: Any) -> Tuple[int, int]:
+                        remote = client.diff_rows(list(prev), list(cur))
+                        local = reference.diff_images(prev, cur)
+                        return local.difference_pixels, sum(
+                            r.result.to_pairs() != l.result.to_pairs()
+                            or r.iterations != l.iterations
+                            or r.stats.items() != l.stats.items()
+                            for r, l in zip(remote, local.row_results)
                         )
-                        decoded = None
-                        for _ in range(passes):
-                            for frame in clip:
-                                fd = client.stream_frame(sid, frame)
-                                pairs_served += 1
-                                if fd.frame_index > 0:
-                                    total_pixels += fd.delta.pixel_count
-                                decoded = (
-                                    fd.delta
-                                    if decoded is None
-                                    else xor_images(decoded, fd.delta)
-                                )
-                                if not decoded.same_pixels(frame):
-                                    mismatches += 1
-                        stream_stats = client.stream_close(sid)
+
+                    if args.stream:
+                        played, stream_stats = _play_stream(
+                            lambda: client.stream_open(rekey_ratio=args.rekey_ratio),
+                            client.stream_frame, client.stream_close,
+                            clip, args.passes,
+                        )
                     else:
-                        for _ in range(passes):
-                            for prev, cur in zip(clip, clip[1:]):
-                                remote = client.diff_rows(list(prev), list(cur))
-                                local = reference.diff_images(prev, cur)
-                                pairs_served += 1
-                                total_pixels += local.difference_pixels
-                                for r, l in zip(remote, local.row_results):
-                                    if (
-                                        r.result.to_pairs() != l.result.to_pairs()
-                                        or r.iterations != l.iterations
-                                        or r.stats.items() != l.stats.items()
-                                    ):
-                                        mismatches += 1
+                        played = _play_pairs(diff_pair, clip, args.passes)
                     observability_error = _selftest_observability(
-                        client, workers
-                    )
-                if mismatches:
-                    print(
-                        f"ERROR: {mismatches} "
-                        + (
-                            "decoded frame(s) not byte-identical to the "
-                            "source clip"
-                            if stream
-                            else "row result(s) diverged from the "
-                            "single-process DiffService"
-                        )
-                    )
-                    return 1
-                if observability_error is not None:
-                    print(f"ERROR: {observability_error}")
-                    return 1
-                if stream:
-                    if stream_stats is None or stream_stats.get("rekeys", 0) < 1:
-                        print(
-                            "ERROR: no adaptive keyframe rekey occurred on "
-                            "the motion workload"
-                        )
-                        return 1
-                    print(
-                        f"selftest: {pairs_served} frames streamed over TCP, "
-                        f"decoded byte-identical, "
-                        f"{int(stream_stats['rekeys'])} rekeys, compression "
-                        f"{stream_stats['compression_ratio']:.2f}x"
-                    )
-                else:
-                    print(
-                        f"selftest: {pairs_served} frame pairs round-tripped "
-                        f"over TCP, byte-identical to the single-process "
-                        f"service"
+                        client, args.workers
                     )
         stats = service.stats()
         merged = service.merged_snapshot()
         per_worker = service.worker_snapshots()
+    served, failed, mismatches, total_pixels = played
+    if mismatches:
+        return 1
+    if failed:
+        print(f"ERROR: {failed} request(s) failed")
+        return 1
+    if observability_error is not None:
+        print(f"ERROR: {observability_error}")
+        return 1
+    if args.selftest and stream_stats is not None:
+        if stream_stats.get("rekeys", 0) < 1:
+            print("ERROR: no adaptive keyframe rekey occurred on the motion workload")
+            return 1
+        print(
+            f"selftest: {served} frames streamed over TCP, decoded "
+            f"byte-identical, {int(stream_stats['rekeys'])} rekeys, "
+            f"compression {stream_stats['compression_ratio']:.2f}x"
+        )
+    elif args.selftest:
+        print(
+            f"selftest: {served} frame pairs round-tripped over TCP, "
+            f"byte-identical to the single-process service"
+        )
     folded = per_worker[0]
     for snapshot in per_worker[1:]:
         folded = folded.merge(snapshot)
@@ -1117,25 +1018,7 @@ def _cmd_serve_sharded(
             f"stats report {stats['requests']:g}"
         )
         return 1
-    if stream:
-        print(
-            f"served {pairs_served} frames ({int(stats['requests'])} row "
-            f"requests)"
-        )
-        if stream_stats is not None:
-            print(
-                f"stream: {int(stream_stats['frames'])} frames appended, "
-                f"{int(stream_stats['rekeys'])} rekeys, compression "
-                f"{stream_stats['compression_ratio']:.2f}x "
-                f"({int(stream_stats['shipped_runs'])} shipped / "
-                f"{int(stream_stats['raw_runs'])} raw runs)"
-            )
-    else:
-        print(
-            f"served {pairs_served} frame pairs ({int(stats['requests'])} "
-            f"row requests)"
-        )
-    print(f"motion pixels flagged: {total_pixels}")
+    _print_served(served, total_pixels, stats, stream_stats)
     print(
         f"cache (all shards): {int(stats.get('hits', 0))} hits / "
         f"{int(stats.get('misses', 0))} misses "
@@ -1146,13 +1029,116 @@ def _cmd_serve_sharded(
         f"merged metrics: {merged_requests:g} requests across "
         f"{int(stats['workers'])} workers — consistent with stats"
     )
-    if min_hit_rate is not None and stats["hit_rate"] < min_hit_rate:
+    return 1 if _below_hit_rate(stats, args.min_hit_rate) else 0
+
+
+#: What a clip player counts: ``(served, failed, mismatches, motion
+#: pixels)``.
+_Played = Tuple[int, int, int, int]
+
+
+def _play(
+    steps: Iterable[Callable[[], Tuple[int, int]]], what: str, mismatch: str
+) -> _Played:
+    """Run each step (returning ``(motion pixels, mismatches)``) and
+    count the outcomes; mismatches are reported as an error.  A typed
+    failure is counted and skipped; a breaker shed silently, since the
+    service already counts it."""
+    from repro.errors import ReproError, ServiceOverloadError
+
+    served = failed = mismatches = pixels = 0
+    for step in steps:
+        try:
+            flagged, wrong = step()
+        except ServiceOverloadError:
+            failed += 1
+            continue
+        except ReproError as exc:
+            failed += 1
+            print(f"  {what} failed: {type(exc).__name__}: {exc}")
+            continue
+        served += 1
+        pixels += flagged
+        mismatches += wrong
+    if mismatches:
+        print(f"ERROR: {mismatches} {mismatch}")
+    return served, failed, mismatches, pixels
+
+
+def _play_stream(
+    open_session: Callable[[], str],
+    append_frame: Callable[[str, Any], Any],
+    close_session: Callable[[str], Dict[str, float]],
+    clip: List[Any],
+    passes: int,
+) -> Tuple[_Played, Dict[str, float]]:
+    """Stream ``clip`` ``passes`` times through one session of any
+    transport (its open, append and close calls), decode by XOR-folding
+    the deltas, and count decoded frames that differ from their source.
+    Returns the counts and the closed session's stats."""
+    from repro.rle.ops2d import xor_images
+
+    sid = open_session()
+    decoded = None
+
+    def step(frame: Any) -> Tuple[int, int]:
+        nonlocal decoded
+        fd = append_frame(sid, frame)
+        decoded = fd.delta if decoded is None else xor_images(decoded, fd.delta)
+        pixels = fd.delta.pixel_count if fd.frame_index > 0 else 0
+        return pixels, int(not decoded.same_pixels(frame))
+
+    played = _play(
+        (partial(step, frame) for _ in range(passes) for frame in clip),
+        "frame",
+        "decoded frame(s) not byte-identical to the source clip",
+    )
+    return played, close_session(sid)
+
+
+def _play_pairs(
+    diff_pair: Callable[[Any, Any], Tuple[int, int]], clip: List[Any], passes: int
+) -> _Played:
+    """Diff every consecutive frame pair of ``clip``, ``passes`` times,
+    through ``diff_pair`` (``(prev, cur) -> (motion pixels,
+    mismatched rows)``)."""
+    return _play(
+        (
+            partial(diff_pair, prev, cur)
+            for _ in range(passes)
+            for prev, cur in zip(clip, clip[1:])
+        ),
+        "pair",
+        "row result(s) diverged from the single-process DiffService",
+    )
+
+
+def _below_hit_rate(stats: Dict[str, float], floor: Optional[float]) -> bool:
+    if floor is not None and stats["hit_rate"] < floor:
+        print(f"ERROR: hit rate {stats['hit_rate']:.1%} below required {floor:.1%}")
+        return True
+    return False
+
+
+def _print_served(
+    served: int,
+    pixels: int,
+    stats: Dict[str, float],
+    stream_stats: Optional[Dict[str, float]],
+) -> None:
+    if stream_stats is not None:
         print(
-            f"ERROR: hit rate {stats['hit_rate']:.1%} below required "
-            f"{min_hit_rate:.1%}"
+            f"stream: {int(stream_stats['frames'])} frames appended, "
+            f"{int(stream_stats['rekeys'])} rekeys, "
+            f"compression {stream_stats['compression_ratio']:.2f}x "
+            f"({int(stream_stats['shipped_runs'])} shipped / "
+            f"{int(stream_stats['raw_runs'])} raw runs); decoded frames "
+            f"byte-identical"
         )
-        return 1
-    return 0
+        print(f"served {served} frames ({int(stats['requests'])} row requests)")
+    else:
+        print(f"served {served} frame pairs ({int(stats['requests'])} row requests)")
+    print(f"motion pixels flagged: {pixels}")
 
 
 def _selftest_observability(client, workers: int) -> Optional[str]:
@@ -1272,58 +1258,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.validate,
         )
     if args.command == "serve":
-        if args.workers:
-            if args.resilient or args.deadline is not None or args.chaos_rate:
-                # workers already serve through ResilientDiffService;
-                # chaos hooks are in-process only
-                print(
-                    "error: --workers is incompatible with --resilient/"
-                    "--deadline/--chaos-rate (each shard worker already "
-                    "serves through ResilientDiffService; chaos injection "
-                    "is in-process only)"
-                )
-                return 2
-            return _cmd_serve_sharded(
-                args.height,
-                args.width,
-                args.frames,
-                args.passes,
-                args.seed,
-                args.engine,
-                args.cache_mb,
-                args.min_hit_rate,
-                args.workers,
-                args.listen,
-                args.selftest,
-                args.stream,
-                args.rekey_ratio,
-                args.cache_dir,
-                args.disk_mb,
-            )
-        if args.listen is not None or args.selftest:
-            print("error: --listen/--selftest require --workers N (N >= 1)")
-            return 2
-        return _cmd_serve(
-            args.height,
-            args.width,
-            args.frames,
-            args.passes,
-            args.seed,
-            args.engine,
-            args.cache_mb,
-            args.min_hit_rate,
-            args.resilient,
-            args.deadline,
-            args.max_retries,
-            args.chaos_rate,
-            args.chaos_seed,
-            args.max_shed,
-            args.min_availability,
-            args.stream,
-            args.rekey_ratio,
-            args.cache_dir,
-            args.disk_mb,
-        )
+        return _cmd_serve(args)
     if args.command == "top":
         return _cmd_top(args.address, args.interval, args.samples)
     if args.command == "lint":

@@ -43,7 +43,8 @@ import socket
 import threading
 import time
 from concurrent.futures import Future
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Sequence, Tuple, TypeVar, Union
 
 from hashlib import blake2b
 
@@ -67,11 +68,11 @@ from repro.obs.tracing import Tracer, TraceStore
 from repro.service.cache import DEFAULT_CACHE_BYTES
 from repro.service.resilience import ResiliencePolicy
 from repro.service.shard import (
-    DEFAULT_REPLICAS,
     OptionsWire,
     ShardRing,
     decode_error,
     decode_result,
+    decode_row,
     decode_span,
     encode_options,
     encode_result,
@@ -82,6 +83,7 @@ from repro.service.stream import (
     FrameDelta,
     StreamPolicy,
     decode_frame_delta,
+    decode_image,
     encode_frame_delta,
     encode_image,
     encode_stream_policy,
@@ -113,6 +115,8 @@ MAX_REQUEST_LINE = 64 * 1024
 #: sends after an over-long line, so closing the socket does not reset
 #: the connection before the peer has read its error reply.
 _OVERSIZE_DRAIN_S = 1.0
+
+_T = TypeVar("_T")
 
 
 # --------------------------------------------------------------------- #
@@ -181,10 +185,6 @@ class _WorkerHandle:
                 ) from exc
         return future
 
-    def call(self, kind: str, payload: Any = None, timeout: Optional[float] = None) -> Any:
-        """Synchronous request (submit + wait)."""
-        return self.request(kind, payload).result(timeout=timeout)
-
     def _receive_loop(self) -> None:
         while True:
             try:
@@ -221,19 +221,10 @@ class _WorkerHandle:
     def close(self, timeout: float = 5.0) -> None:
         """Ask the worker to drain and exit; escalate to terminate if it
         does not comply within ``timeout`` seconds.  Idempotent."""
-        future: "Optional[Future[Any]]" = None
-        with self._lock:
-            already_closed = self._closed
-        if not already_closed:
-            try:
-                future = self.request("close")
-            except ServiceError:
-                future = None
-        if future is not None:
-            try:
-                future.result(timeout=timeout)
-            except (ReproError, Exception):  # worker died mid-close: fine
-                pass
+        try:
+            self.request("close").result(timeout=timeout)
+        except Exception:  # already closed, or the worker died mid-close
+            pass
         with self._lock:
             self._closed = True
         self._process.join(timeout=timeout)
@@ -269,8 +260,6 @@ class ShardedDiffService:
     cache_bytes:
         Per-worker cache budget.  Shards cache disjoint content slices,
         so the effective fleet budget is ``workers * cache_bytes``.
-    replicas:
-        Virtual nodes per shard on the ring.
     trace_sample_rate:
         Fraction of requests whose spans are recorded and shipped back
         from the workers (decided deterministically per request id by
@@ -294,7 +283,6 @@ class ShardedDiffService:
         workers: int = 2,
         policy: Optional[ResiliencePolicy] = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        replicas: int = DEFAULT_REPLICAS,
         trace_sample_rate: float = 1.0,
     ) -> None:
         if workers < 1:
@@ -305,7 +293,7 @@ class ShardedDiffService:
             policy = opts.resilience
         self.policy = policy
         self.trace_sample_rate = trace_sample_rate
-        self.ring = ShardRing(workers, replicas)
+        self.ring = ShardRing(workers)
         # Front-end observability: its own registry (the workers' merge
         # separately — see merged_registry), the fleet log, and the
         # stitched per-request trace store behind {"op": "trace"}.
@@ -364,15 +352,18 @@ class ShardedDiffService:
     def workers(self) -> int:
         return len(self._workers)
 
+    def _broadcast(self, kind: str, timeout: Optional[float]) -> List[Any]:
+        """Send ``kind`` to every worker; their replies, in shard order."""
+        futures = [handle.request(kind) for handle in self._workers]
+        return [future.result(timeout=timeout) for future in futures]
+
     def ping(self, timeout: Optional[float] = 10.0) -> List[int]:
         """Round-trip every worker; returns their ids (readiness probe)."""
-        futures = [handle.request("ping") for handle in self._workers]
-        return [future.result(timeout=timeout) for future in futures]
+        return self._broadcast("ping", timeout)
 
     def worker_stats(self, timeout: Optional[float] = 10.0) -> List[Dict[str, float]]:
         """Each worker's ``stats()`` dict, in shard order."""
-        futures = [handle.request("stats") for handle in self._workers]
-        return [future.result(timeout=timeout) for future in futures]
+        return self._broadcast("stats", timeout)
 
     def stats(self, timeout: Optional[float] = 10.0) -> Dict[str, float]:
         """Fleet-wide stats: worker counters summed, ``hit_rate``
@@ -440,8 +431,7 @@ class ShardedDiffService:
         self, timeout: Optional[float] = 10.0
     ) -> List[MetricsSnapshot]:
         """Each worker's cumulative metrics snapshot, in shard order."""
-        futures = [handle.request("snapshot") for handle in self._workers]
-        return [future.result(timeout=timeout) for future in futures]
+        return self._broadcast("snapshot", timeout)
 
     def merged_registry(
         self, timeout: Optional[float] = 10.0
@@ -467,6 +457,101 @@ class ShardedDiffService:
         return self.merged_registry(timeout=timeout).snapshot()
 
     # -- requests ------------------------------------------------------- #
+    def _check_open(self) -> None:
+        with self._close_lock:
+            if self._closed:
+                raise ServiceError("ShardedDiffService is closed")
+
+    def _gather(
+        self,
+        kind: str,
+        payloads: Iterable[Tuple[int, Any]],
+        request_id: str,
+        tracer: Optional[Tracer] = None,
+    ) -> Iterator[Tuple[int, Any]]:
+        """Send each ``(shard, payload)`` as it is produced, then yield
+        ``(shard, reply)`` as each reply is read — so the caller encodes
+        and decodes one shard while the others compute.
+
+        Every sent request is read even when one fails, so no worker is
+        left computing into an abandoned pipe.  A shard whose process is
+        dead — at send time or mid-flight — logs ``worker_death`` under
+        ``request_id``; after the last reply the first failure in shard
+        order is re-raised, typed.  With a ``tracer``, each reply is a
+        traced ``(value, spans, events)`` payload: it is stitched and
+        its value yielded.
+        """
+        futures: Dict[int, "Future[Any]"] = {}
+        errors: Dict[int, BaseException] = {}
+        for shard, payload in payloads:
+            try:
+                futures[shard] = self._workers[shard].request(kind, payload)
+            except ServiceError as exc:  # broken pipe or already closed
+                errors[shard] = exc
+        for shard, future in futures.items():
+            try:
+                reply = future.result()
+            except BaseException as exc:
+                errors[shard] = exc
+                continue
+            yield shard, reply if tracer is None else self._stitch(tracer, shard, reply)
+        for shard, exc in sorted(errors.items()):
+            if not self._workers[shard].alive:
+                self.log.log(
+                    "worker_death",
+                    request_id=request_id,
+                    level="error",
+                    worker=shard,
+                    error=type(exc).__name__,
+                )
+        if errors:
+            raise errors[min(errors)]
+
+    def _stitch(self, tracer: Tracer, shard: int, reply: Any) -> Any:
+        """Unpack one traced worker reply: its log events go into the
+        fleet log, its spans onto lane ``shard + 1`` of the request's
+        timeline (re-recorded from their durations, so clock skew cannot
+        distort it).  Returns the reply's value."""
+        value, spans_wire, events_wire = reply
+        for event_wire in events_wire:
+            self.log.ingest(decode_event(event_wire))
+        for span_wire in spans_wire:
+            name, duration_s, attributes = decode_span(span_wire)
+            tracer.record_span(name, duration_s, lane=shard + 1, **attributes)
+        return value
+
+    def _traced(
+        self,
+        op: str,
+        ctx: RequestContext,
+        serve: Callable[[Tracer], _T],
+        **attributes: object,
+    ) -> _T:
+        """One front-end request: ``request_admitted``, the lane-0
+        ``sharded_<op>`` span around ``serve(tracer)``, then
+        :meth:`_finish_request`.  ``serve`` sends through
+        :meth:`_gather` with the tracer, so every shard reply is
+        stitched.  A per-request tracer keeps concurrent requests from
+        the TCP executor threads off one span stack."""
+        tracer = Tracer()
+        started = time.perf_counter()
+        self.log.log(
+            "request_admitted",
+            request_id=ctx.request_id,
+            level="debug",
+            op=op,
+            tier="frontend",
+            **attributes,
+        )
+        try:
+            with tracer.span(f"sharded_{op}", request_id=ctx.request_id, **attributes):
+                value = serve(tracer)
+        except BaseException as exc:
+            self._finish_request(op, ctx, tracer, started, exc)
+            raise
+        self._finish_request(op, ctx, tracer, started, None)
+        return value
+
     def diff_rows(
         self,
         rows_a: Sequence[RLERow],
@@ -491,44 +576,52 @@ class ShardedDiffService:
             raise GeometryError(
                 f"row sequences differ in length: {len(rows_a)} vs {len(rows_b)}"
             )
-        with self._close_lock:
-            if self._closed:
-                raise ServiceError("ShardedDiffService is closed")
+        self._check_open()
         if not rows_a:
             return []
-        if ctx is None:
-            ctx = RequestContext.new(sample_rate=self.trace_sample_rate)
-        # A per-request tracer (concurrent requests from the TCP
-        # executor threads must not share one span stack); its spans are
-        # stitched into the store when the request finishes.
-        tracer = Tracer()
-        started = time.perf_counter()
-        self.log.log(
-            "request_admitted",
-            request_id=ctx.request_id,
-            level="debug",
-            op="diff_rows",
-            tier="frontend",
-            rows=len(rows_a),
+        request_ctx = ctx if ctx is not None else RequestContext.new(
+            sample_rate=self.trace_sample_rate
         )
-        try:
-            with tracer.span(
-                "sharded_diff_rows", request_id=ctx.request_id, rows=len(rows_a)
+
+        def serve(tracer: Tracer) -> List[XorRunResult]:
+            by_shard: Dict[int, List[int]] = {}
+            for index, row_a in enumerate(rows_a):
+                by_shard.setdefault(self.ring.shard_for_row(row_a), []).append(index)
+            ctx_wire = encode_context(request_ctx)
+            payloads = (
+                (
+                    shard,
+                    (
+                        tuple(encode_row(rows_a[i]) for i in indices),
+                        tuple(encode_row(rows_b[i]) for i in indices),
+                        ctx_wire,
+                    ),
+                )
+                for shard, indices in sorted(by_shard.items())
+            )
+            served: Dict[int, XorRunResult] = {}
+            for shard, wires in self._gather(
+                "diff_rows", payloads, request_ctx.request_id, tracer
             ):
-                results = self._scatter_gather(rows_a, rows_b, ctx, tracer)
-        except BaseException as exc:
-            self._finish_request(ctx, tracer, started, exc)
-            raise
-        self._finish_request(ctx, tracer, started, None)
-        return results
+                indices = by_shard[shard]
+                if len(wires) != len(indices):
+                    raise ServiceError(
+                        f"shard {shard} returned {len(wires)} result(s) for "
+                        f"{len(indices)} routed pair(s)"
+                    )
+                for index, wire in zip(indices, wires):
+                    served[index] = decode_result(wire)
+            return [served[index] for index in range(len(rows_a))]
+
+        return self._traced("diff_rows", request_ctx, serve, rows=len(rows_a))
 
     def _finish_request(
         self,
+        op: str,
         ctx: RequestContext,
         tracer: Tracer,
         started: float,
         exc: Optional[BaseException],
-        op: str = "diff_rows",
     ) -> None:
         """Terminal accounting for one front-end request: end-to-end
         latency, SLO burn, the completion/shed log event, and the
@@ -573,92 +666,6 @@ class ShardedDiffService:
         if ctx.sampled and tracer.spans:
             self.trace_store.add(ctx.request_id, tracer.spans)
 
-    def _scatter_gather(
-        self,
-        rows_a: List[RLERow],
-        rows_b: List[RLERow],
-        ctx: RequestContext,
-        tracer: Tracer,
-    ) -> List[XorRunResult]:
-        by_shard: Dict[int, List[int]] = {}
-        for index, row_a in enumerate(rows_a):
-            by_shard.setdefault(self.ring.shard_for_row(row_a), []).append(index)
-        ctx_wire = encode_context(ctx)
-        scattered: List[Tuple[int, List[int], "Future[Any]"]] = []
-        first_error: Optional[BaseException] = None
-        for shard, indices in sorted(by_shard.items()):
-            payload = (
-                tuple(encode_row(rows_a[i]) for i in indices),
-                tuple(encode_row(rows_b[i]) for i in indices),
-                ctx_wire,
-            )
-            try:
-                future = self._workers[shard].request("diff_rows", payload)
-            except ServiceError as exc:
-                # the worker was already gone at send time (broken pipe
-                # or receiver-marked closed) — same observability as a
-                # death mid-flight; keep scattering so the surviving
-                # shards are still driven and drained
-                if not self._workers[shard].alive:
-                    self.log.log(
-                        "worker_death",
-                        request_id=ctx.request_id,
-                        level="error",
-                        worker=shard,
-                        error=type(exc).__name__,
-                    )
-                if first_error is None:
-                    first_error = exc
-                continue
-            scattered.append((shard, indices, future))
-        served: List[Optional[XorRunResult]] = [None] * len(rows_a)
-        for shard, indices, future in scattered:
-            try:
-                wires, spans_wire, events_wire = future.result()
-            except BaseException as exc:
-                if not self._workers[shard].alive:
-                    self.log.log(
-                        "worker_death",
-                        request_id=ctx.request_id,
-                        level="error",
-                        worker=shard,
-                        error=type(exc).__name__,
-                    )
-                if first_error is None:
-                    first_error = exc
-                continue
-            # Stitch: worker log events into the fleet log, worker spans
-            # onto lane shard+1 of this request's timeline (re-recorded
-            # from their durations, so clock skew cannot distort it).
-            for event_wire in events_wire:
-                self.log.ingest(decode_event(event_wire))
-            for span_wire in spans_wire:
-                name, duration_s, attributes = decode_span(span_wire)
-                tracer.record_span(
-                    name, duration_s, lane=shard + 1, **attributes
-                )
-            if len(wires) != len(indices):
-                if first_error is None:
-                    first_error = ServiceError(
-                        f"shard {shard} returned {len(wires)} result(s) for "
-                        f"{len(indices)} routed pair(s)"
-                    )
-                continue
-            for index, wire in zip(indices, wires):
-                served[index] = decode_result(wire)
-        if first_error is not None:
-            raise first_error
-        # every index was routed exactly once and every shard returned a
-        # full slice, so nothing can be unserved here — but the bulk
-        # path's contract is checked, not assumed
-        unfilled = [i for i, r in enumerate(served) if r is None]
-        if unfilled:
-            raise ServiceError(
-                f"sharded serve left {len(unfilled)} of {len(served)} rows "
-                f"unserved (first unfilled index {unfilled[0]})"
-            )
-        return [r for r in served if r is not None]
-
     # -- streaming sessions --------------------------------------------- #
     @staticmethod
     def _session_digest(session_id: str) -> bytes:
@@ -683,28 +690,34 @@ class ShardedDiffService:
             )
         return shard
 
-    def _session_lost(
-        self, session_id: str, shard: int, exc: BaseException
-    ) -> UnknownSessionError:
-        """Account for a session's shard dying under it: drop the
-        placement, log the death, and build the typed error the caller
-        re-raises.  The client recovers by reopening — placement then
-        walks past the dead shard."""
-        with self._stream_lock:
-            if self._stream_shards.get(session_id) == shard:
-                del self._stream_shards[session_id]
-        self.log.log(
-            "worker_death",
-            request_id=session_id,
-            level="error",
-            worker=shard,
-            error=type(exc).__name__,
-        )
-        return UnknownSessionError(
-            f"stream session {session_id!r} was lost with shard worker "
-            f"{shard} ({type(exc).__name__}); reopen the session — it "
-            f"will remap to a live shard"
-        )
+    def _session_call(
+        self,
+        session_id: str,
+        call: Callable[[int], _T],
+        shard_for: Optional[Callable[[str], int]] = None,
+    ) -> _T:
+        """One session op: the closed check, the session's shard
+        (``shard_for``, default its recorded placement), then
+        ``call(shard)``.  A failure with the shard's worker dead means
+        the session died with it: the placement is dropped and the
+        caller gets a typed :class:`~repro.errors.UnknownSessionError`
+        telling it to reopen — placement then walks past the dead
+        shard."""
+        self._check_open()
+        shard = (shard_for or self._session_shard)(session_id)
+        try:
+            return call(shard)
+        except ReproError as exc:
+            if self._workers[shard].alive:
+                raise
+            with self._stream_lock:
+                if self._stream_shards.get(session_id) == shard:
+                    del self._stream_shards[session_id]
+            raise UnknownSessionError(
+                f"stream session {session_id!r} was lost with shard worker "
+                f"{shard} ({type(exc).__name__}); reopen the session — it "
+                f"will remap to a live shard"
+            ) from exc
 
     def stream_open(
         self,
@@ -720,31 +733,23 @@ class ShardedDiffService:
         ``None``); reuse it as the ``request_id`` parent when stitching
         stream traffic into a wider trace.
         """
-        with self._close_lock:
-            if self._closed:
-                raise ServiceError("ShardedDiffService is closed")
-        if session_id is None:
-            session_id = new_request_id()
-        shard = self._place_session(session_id)
-        policy_wire = (
-            encode_stream_policy(policy) if policy is not None else None
-        )
-        try:
-            self._workers[shard].call("stream_open", (session_id, policy_wire))
-        except ServiceError as exc:
-            if not self._workers[shard].alive:
-                raise self._session_lost(session_id, shard, exc) from exc
-            raise
-        with self._stream_lock:
-            self._stream_shards[session_id] = shard
-        self.log.log(
-            "stream_opened",
-            request_id=session_id,
-            level="info",
-            tier="frontend",
-            worker=shard,
-        )
-        return session_id
+        sid = new_request_id() if session_id is None else session_id
+        policy_wire = encode_stream_policy(policy) if policy is not None else None
+
+        def call(shard: int) -> str:
+            [_] = self._gather("stream_open", [(shard, (sid, policy_wire))], sid)
+            with self._stream_lock:
+                self._stream_shards[sid] = shard
+            self.log.log(
+                "stream_opened",
+                request_id=sid,
+                level="info",
+                tier="frontend",
+                worker=shard,
+            )
+            return sid
+
+        return self._session_call(sid, call, shard_for=self._place_session)
 
     def stream_frame(
         self,
@@ -764,77 +769,45 @@ class ShardedDiffService:
         to reopen; breaker sheds arrive as
         :class:`~repro.errors.ServiceOverloadError`.
         """
-        with self._close_lock:
-            if self._closed:
-                raise ServiceError("ShardedDiffService is closed")
-        shard = self._session_shard(session_id)
-        if ctx is None:
-            ctx = RequestContext.new(
-                parent_id=session_id, sample_rate=self.trace_sample_rate
-            )
-        tracer = Tracer()
-        started = time.perf_counter()
-        self.log.log(
-            "request_admitted",
-            request_id=ctx.request_id,
-            level="debug",
-            op="stream_frame",
-            tier="frontend",
-            session_id=session_id,
+        request_ctx = ctx if ctx is not None else RequestContext.new(
+            parent_id=session_id, sample_rate=self.trace_sample_rate
         )
-        try:
-            with tracer.span(
-                "sharded_stream_frame",
-                request_id=ctx.request_id,
-                session_id=session_id,
-                worker=shard,
-            ):
-                payload = (session_id, encode_image(frame), encode_context(ctx))
-                try:
-                    wire, spans_wire, events_wire = self._workers[shard].call(
-                        "stream_frame", payload
-                    )
-                except ReproError as exc:
-                    if not self._workers[shard].alive:
-                        raise self._session_lost(
-                            session_id, shard, exc
-                        ) from exc
-                    raise
-                for event_wire in events_wire:
-                    self.log.ingest(decode_event(event_wire))
-                for span_wire in spans_wire:
-                    name, duration_s, attributes = decode_span(span_wire)
-                    tracer.record_span(
-                        name, duration_s, lane=shard + 1, **attributes
-                    )
-                delta = decode_frame_delta(wire)
-        except BaseException as exc:
-            self._finish_request(ctx, tracer, started, exc, op="stream_frame")
-            raise
-        self._finish_request(ctx, tracer, started, None, op="stream_frame")
-        return delta
+
+        def call(shard: int) -> FrameDelta:
+            def serve(tracer: Tracer) -> FrameDelta:
+                payload = (session_id, encode_image(frame), encode_context(request_ctx))
+                [(_, wire)] = self._gather(
+                    "stream_frame", [(shard, payload)], request_ctx.request_id, tracer
+                )
+                return decode_frame_delta(wire)
+
+            return self._traced(
+                "stream_frame", request_ctx, serve, session_id=session_id, worker=shard
+            )
+
+        return self._session_call(session_id, call)
 
     def stream_close(self, session_id: str) -> Dict[str, float]:
         """End a session; returns its final stats dict."""
-        shard = self._session_shard(session_id)
-        with self._stream_lock:
-            self._stream_shards.pop(session_id, None)
-        try:
-            stats = self._workers[shard].call("stream_close", session_id)
-        except ReproError as exc:
-            if not self._workers[shard].alive:
-                raise self._session_lost(session_id, shard, exc) from exc
-            raise
-        self.log.log(
-            "stream_closed",
-            request_id=session_id,
-            level="info",
-            tier="frontend",
-            worker=shard,
-            frames=int(stats.get("frames", 0.0)),
-            rekeys=int(stats.get("rekeys", 0.0)),
-        )
-        return dict(stats)
+
+        def call(shard: int) -> Dict[str, float]:
+            with self._stream_lock:
+                self._stream_shards.pop(session_id, None)
+            [(_, stats)] = self._gather(
+                "stream_close", [(shard, session_id)], session_id
+            )
+            self.log.log(
+                "stream_closed",
+                request_id=session_id,
+                level="info",
+                tier="frontend",
+                worker=shard,
+                frames=int(stats.get("frames", 0.0)),
+                rekeys=int(stats.get("rekeys", 0.0)),
+            )
+            return dict(stats)
+
+        return self._session_call(session_id, call)
 
     def stream_stats(
         self, session_id: Optional[str] = None
@@ -842,19 +815,16 @@ class ShardedDiffService:
         """One session's stats, or (with ``None``) the fleet-wide
         aggregate over every worker's open sessions."""
         if session_id is not None:
-            shard = self._session_shard(session_id)
-            try:
-                return dict(
-                    self._workers[shard].call("stream_stats", session_id)
+
+            def call(shard: int) -> Dict[str, float]:
+                [(_, stats)] = self._gather(
+                    "stream_stats", [(shard, session_id)], session_id
                 )
-            except ReproError as exc:
-                if not self._workers[shard].alive:
-                    raise self._session_lost(session_id, shard, exc) from exc
-                raise
+                return dict(stats)
+
+            return self._session_call(session_id, call)
         futures = []
         for handle in self._workers:
-            if not handle.alive:
-                continue
             try:
                 futures.append(handle.request("stream_stats", None))
             except ServiceError:
@@ -1059,11 +1029,10 @@ class ShardedServer:
                 self.service.ping()
                 return {"ok": True, "workers": self.service.workers}
             if op == "diff_rows":
-                rows_a = [_row_from_json(w) for w in request.get("rows_a", ())]
-                rows_b = [_row_from_json(w) for w in request.get("rows_b", ())]
-                parent = request.get("request_id")
+                rows_a = _field(request, "rows_a", _decode_rows, [])
+                rows_b = _field(request, "rows_b", _decode_rows, [])
                 ctx = RequestContext.new(
-                    parent_id=str(parent) if parent is not None else None,
+                    parent_id=_field(request, "request_id", str, None),
                     sample_rate=self.service.trace_sample_rate,
                 )
                 results = self.service.diff_rows(rows_a, rows_b, ctx=ctx)
@@ -1077,7 +1046,7 @@ class ShardedServer:
             if op == "health":
                 return {"ok": True, "health": self.service.health()}
             if op == "trace":
-                request_id = request.get("request_id")
+                request_id = _field(request, "request_id", str, None)
                 if request_id is None:
                     return {
                         "ok": True,
@@ -1085,9 +1054,7 @@ class ShardedServer:
                     }
                 return {
                     "ok": True,
-                    "trace": self.service.trace_store.to_chrome_trace(
-                        str(request_id)
-                    ),
+                    "trace": self.service.trace_store.to_chrome_trace(request_id),
                 }
             if op == "logs":
                 return {"ok": True, "logs": self.service.log.records()}
@@ -1097,37 +1064,24 @@ class ShardedServer:
                     return {"ok": True, "prometheus": registry.to_prometheus_text()}
                 return {"ok": True, "metrics": registry.to_json()}
             if op == "stream_open":
-                session_id = request.get("session_id")
-                policy = None
-                if "rekey_ratio" in request or "max_chain" in request:
-                    defaults = StreamPolicy()
-                    policy = StreamPolicy(
-                        rekey_ratio=float(
-                            request.get("rekey_ratio", defaults.rekey_ratio)
-                        ),
-                        max_chain=int(
-                            request.get("max_chain", defaults.max_chain)
-                        ),
-                    )
+                overrides = {
+                    name: _field(request, name, cast)
+                    for name, cast in (("rekey_ratio", float), ("max_chain", int))
+                    if request.get(name) is not None
+                }
                 opened = self.service.stream_open(
-                    session_id=(
-                        str(session_id) if session_id is not None else None
-                    ),
-                    policy=policy,
+                    session_id=_field(request, "session_id", str, None),
+                    policy=StreamPolicy(**overrides) if overrides else None,
                 )
                 return {"ok": True, "session_id": opened}
             if op == "stream_frame":
-                session_id = _required_session_id(request)
-                frame_wire = request.get("frame")
-                if frame_wire is None:
-                    raise ProtocolError('stream_frame requires a "frame" field')
+                session_id = _field(request, "session_id", str)
+                frame = _field(request, "frame", decode_image)
                 ctx = RequestContext.new(
                     parent_id=session_id,
                     sample_rate=self.service.trace_sample_rate,
                 )
-                delta = self.service.stream_frame(
-                    session_id, _image_from_json(frame_wire), ctx=ctx
-                )
+                delta = self.service.stream_frame(session_id, frame, ctx=ctx)
                 return {
                     "ok": True,
                     "session_id": session_id,
@@ -1135,18 +1089,17 @@ class ShardedServer:
                     "delta": encode_frame_delta(delta),
                 }
             if op == "stream_close":
-                session_id = _required_session_id(request)
+                session_id = _field(request, "session_id", str)
                 return {
                     "ok": True,
                     "session_id": session_id,
                     "stats": self.service.stream_close(session_id),
                 }
             if op == "stream_stats":
-                session_id = request.get("session_id")
                 return {
                     "ok": True,
                     "stats": self.service.stream_stats(
-                        str(session_id) if session_id is not None else None
+                        _field(request, "session_id", str, None)
                     ),
                 }
             raise ProtocolError(
@@ -1192,31 +1145,42 @@ async def _discard_input(
         pass
 
 
-def _required_session_id(request: Dict[str, Any]) -> str:
-    session_id = request.get("session_id")
-    if session_id is None:
+#: Marks a request field with no default: its absence is a ProtocolError.
+_REQUIRED: Any = object()
+
+
+def _field(
+    request: Dict[str, Any],
+    name: str,
+    decode: Callable[[Any], Any],
+    default: Any = _REQUIRED,
+) -> Any:
+    """Request field ``name`` run through ``decode`` — the one place the
+    server decodes request fields, with the pipe codecs, so the TCP wire
+    carries the same row/image wires as the worker pipe.
+
+    A missing (or null) field is ``default``, or a
+    :class:`~repro.errors.ProtocolError` when there is none; a field the
+    codec cannot take apart is a ``ProtocolError`` too.  Typed errors
+    (e.g. overlapping runs) keep their class.
+    """
+    value = request.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ProtocolError(
+                f'op {request.get("op")!r} requires a "{name}" field'
+            )
+        return default
+    try:
+        return decode(value)
+    except (TypeError, ValueError) as exc:
         raise ProtocolError(
-            f'op {request.get("op")!r} requires a "session_id" field'
-        )
-    return str(session_id)
+            f'malformed "{name}" field: {type(exc).__name__}: {exc}'
+        ) from exc
 
 
-def _row_from_json(wire: Any) -> RLERow:
-    pairs, width = wire
-    return RLERow.from_pairs(
-        [(int(start), int(length)) for start, length in pairs], width=width
-    )
-
-
-def _image_from_json(wire: Any) -> RLEImage:
-    rows_wire, width = wire
-    return RLEImage.from_row_pairs(
-        [
-            [(int(start), int(length)) for start, length in pairs]
-            for pairs in rows_wire
-        ],
-        width=int(width),
-    )
+def _decode_rows(wires: Any) -> List[RLERow]:
+    return [decode_row(wire) for wire in wires]
 
 
 class ServerThread:
@@ -1362,7 +1326,7 @@ class ShardClient:
             request["request_id"] = request_id
         response = self._roundtrip(request)
         self.last_request_id = response.get("request_id")
-        return [_result_from_json(wire) for wire in response["results"]]
+        return [decode_result(wire) for wire in response["results"]]
 
     def diff_images(self, image_a: RLEImage, image_b: RLEImage) -> List[XorRunResult]:
         """Row results for two equal-shape images (the caller assembles
@@ -1384,13 +1348,12 @@ class ShardClient:
         when ``session_id`` is ``None``).  ``rekey_ratio``/``max_chain``
         override the server's default
         :class:`~repro.service.stream.StreamPolicy`."""
-        request: Dict[str, Any] = {"op": "stream_open"}
-        if session_id is not None:
-            request["session_id"] = session_id
-        if rekey_ratio is not None:
-            request["rekey_ratio"] = rekey_ratio
-        if max_chain is not None:
-            request["max_chain"] = max_chain
+        request = {
+            "op": "stream_open",
+            "session_id": session_id,
+            "rekey_ratio": rekey_ratio,
+            "max_chain": max_chain,
+        }
         return str(self._roundtrip(request)["session_id"])
 
     def stream_frame(self, session_id: str, frame: RLEImage) -> FrameDelta:
@@ -1418,9 +1381,7 @@ class ShardClient:
 
     def stream_stats(self, session_id: Optional[str] = None) -> Dict[str, float]:
         """One session's stats, or the fleet aggregate with ``None``."""
-        request: Dict[str, Any] = {"op": "stream_stats"}
-        if session_id is not None:
-            request["session_id"] = session_id
+        request = {"op": "stream_stats", "session_id": session_id}
         return dict(self._roundtrip(request)["stats"])
 
     def stats(self) -> Dict[str, float]:
@@ -1461,18 +1422,3 @@ class ShardClient:
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-
-def _result_from_json(wire: Any) -> XorRunResult:
-    pairs, width, iterations, k1, k2, n_cells, stat_items = wire
-    return decode_result(
-        (
-            tuple((int(s), int(l)) for s, l in pairs),
-            width,
-            int(iterations),
-            int(k1),
-            int(k2),
-            int(n_cells),
-            tuple((str(name), int(count)) for name, count in stat_items),
-        )
-    )

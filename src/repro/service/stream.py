@@ -538,13 +538,7 @@ def encode_image(image: RLEImage) -> ImageWire:
 
 def decode_image(wire: ImageWire) -> RLEImage:
     rows_wire, width = wire
-    return RLEImage.from_row_pairs(
-        [
-            [(int(start), int(length)) for start, length in pairs]
-            for pairs in rows_wire
-        ],
-        width=int(width),
-    )
+    return RLEImage.from_row_pairs(rows_wire, width=int(width))
 
 
 def encode_frame_delta(delta: FrameDelta) -> FrameDeltaWire:

@@ -22,6 +22,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadError,
 )
+from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.options import DiffOptions
 from repro.obs.context import RequestContext
@@ -134,6 +135,45 @@ class TestStitchedTrace:
             ]
             assert len(frontend_done) == 1
             assert frontend_done[0]["fields"]["ok"] is True
+
+    @pytest.mark.parametrize("op", ["diff_rows", "stream_frame"])
+    def test_traced_ops_share_one_request_path(self, op):
+        """``diff_rows`` and ``stream_frame`` get the same front-end
+        accounting: one admitted/completed pair, a latency observation
+        and a stitched trace with a lane-0 span plus worker lanes."""
+        rows_a, rows_b = make_row_pairs()
+        with ShardedDiffService(BATCHED, workers=2) as svc:
+            ctx = RequestContext.new()
+            if op == "diff_rows":
+                svc.diff_rows(rows_a, rows_b, ctx=ctx)
+            else:
+                sid = svc.stream_open()
+                svc.stream_frame(sid, RLEImage(rows_a, width=64), ctx=ctx)
+
+            mine = [
+                r
+                for r in svc.log.records()
+                if r["request_id"] == ctx.request_id
+                and r["fields"].get("tier") == "frontend"
+            ]
+            assert_log_schema_valid(mine)
+            assert [r["event"] for r in mine] == [
+                "request_admitted",
+                "request_completed",
+            ]
+            assert all(r["fields"]["op"] == op for r in mine)
+            latency = [
+                series
+                for family in svc.registry.snapshot().families
+                if family.name == "repro_request_latency_seconds"
+                for series in family.series
+                if series.labels == (op, "frontend")
+            ]
+            assert len(latency) == 1 and latency[0].count == 1
+            spans = svc.trace_store.get(ctx.request_id)
+            assert [s.name for s in spans if s.lane == 0] == [f"sharded_{op}"]
+            assert {s.name for s in spans if s.lane > 0} == {f"shard_{op}"}
+            assert_no_orphan_spans(spans)
 
     def test_unsampled_requests_skip_spans_but_keep_logs(self):
         rows_a, rows_b = make_row_pairs()

@@ -82,9 +82,9 @@ class TestSessionRouting:
             sharded.stream_frame(sid, frame)
         shard = sharded._stream_shards[sid]
         # only the hosting worker holds the session
-        hosting = sharded._workers[shard].call("stream_stats", None)
+        hosting = sharded._workers[shard].request("stream_stats").result()
         assert hosting["frames"] == 4.0
-        other = sharded._workers[1 - shard].call("stream_stats", None)
+        other = sharded._workers[1 - shard].request("stream_stats").result()
         assert other.get("frames", 0.0) == 0.0
 
     def test_stream_sessions_lists_open_ids(self, sharded):
@@ -211,6 +211,26 @@ class TestTCPStreaming:
             client.stream_open(session_id="dup")
 
 
+class TestClosedService:
+    def test_session_calls_after_close_are_typed_and_not_worker_deaths(
+        self, clip
+    ):
+        service = ShardedDiffService(BATCHED, workers=2)
+        try:
+            sid = service.stream_open()
+            service.stream_frame(sid, clip[0])
+        finally:
+            service.close()
+        for call in (service.stream_close, service.stream_stats):
+            with pytest.raises(ServiceError, match="is closed") as info:
+                call(sid)
+            assert not isinstance(info.value, UnknownSessionError)
+        assert service.stream_sessions() == [sid]
+        assert not [
+            r for r in service.log.records() if r["event"] == "worker_death"
+        ]
+
+
 class TestWireProtocolVersioning:
     """Satellite contract: every response carries ``"v"``; unsupported
     versions, unknown ops and malformed requests are typed
@@ -279,6 +299,31 @@ class TestWireProtocolVersioning:
         )
         assert response["error"] == "ProtocolError"
         assert "frame" in response["message"]
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b'{"op":"diff_rows","rows_a":[[[[0,2]],8,99]],"rows_b":[[[[0,2]],8]]}',
+            b'{"op":"diff_rows","rows_a":[[[[0,2]],"8"]],"rows_b":[[[[0,2]],8]]}',
+            b'{"op":"diff_rows","rows_a":5,"rows_b":[]}',
+            b'{"op":"stream_open","max_chain":"abc"}',
+            b'{"op":"stream_frame","session_id":"x","frame":[1]}',
+        ],
+        ids=["row-arity", "row-width-type", "rows-not-a-list", "max-chain",
+             "frame-arity"],
+    )
+    def test_malformed_field_is_protocol_error(self, server, line):
+        with socket.create_connection(
+            (server.host, server.port), timeout=30.0
+        ) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(line + b"\n")
+            response = json.loads(reader.readline())
+            assert response["ok"] is False
+            assert response["error"] == "ProtocolError", response
+            assert response["v"] == PROTOCOL_VERSION
+            sock.sendall(b'{"op": "ping"}\n')
+            assert json.loads(reader.readline())["ok"] is True
 
     def test_oversized_line_gets_typed_reply(self, server, capfd, caplog):
         """A request line past the server's read limit is answered with

@@ -182,3 +182,50 @@ class TestServeResilient:
             == 0
         )
         assert "ERROR" not in capsys.readouterr().out
+
+
+class TestServeTransports:
+    """Every clip transport of ``repro serve`` at a tiny size: exit 0
+    plus the summary line each run prints."""
+
+    def test_in_process_stream(self, capsys):
+        assert main(SERVE_SMALL + ["--stream", "--passes", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "stream: 4 frames appended" in out
+        assert "served 4 frames" in out
+
+    def test_sharded_pairs(self, capsys):
+        assert main(SERVE_SMALL + ["--passes", "1", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "served 3 frame pairs" in out
+        assert "merged metrics:" in out
+
+    def test_sharded_stream(self, capsys):
+        assert (
+            main(SERVE_SMALL + ["--passes", "1", "--workers", "2", "--stream"])
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "served 4 frames" in out
+        assert "stream: 4 frames appended" in out
+
+    @pytest.mark.parametrize(
+        "extra, summary",
+        [
+            ([], "selftest: 3 frame pairs round-tripped over TCP"),
+            (
+                ["--stream", "--rekey-ratio", "0.5"],
+                "selftest: 4 frames streamed over TCP, decoded byte-identical",
+            ),
+        ],
+        ids=["pairs", "stream"],
+    )
+    def test_sharded_tcp_selftest(self, capsys, extra, summary):
+        argv = SERVE_SMALL + [
+            "--passes", "1", "--workers", "2",
+            "--listen", "127.0.0.1:0", "--selftest",
+        ]
+        assert main(argv + extra) == 0
+        out = capsys.readouterr().out
+        assert summary in out
+        assert "traced across" in out
