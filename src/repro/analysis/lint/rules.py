@@ -20,7 +20,8 @@ The rules encode the repository's correctness conventions as checks:
     never materialize pixel arrays — the RLE speed advantage evaporates
     the moment code silently falls back to bitmaps (Ehrensperger et al.;
     Breuel).  Bans calls to the decompression helpers and any import of
-    :mod:`repro.rle.bitmap`, outside a reviewed allowlist.
+    :mod:`repro.rle.bitmap` or :mod:`repro.rle.packbits`, outside a
+    reviewed allowlist.
 
 ``RLE004`` int32-overflow-guard
     ``np.int32`` coordinate planes are only legal behind the overflow
@@ -76,9 +77,10 @@ DECOMPRESSION_ALLOWLIST = frozenset({"core/verifier.py"})
 #: Names whose *call* constitutes decompression (methods or functions).
 DECOMPRESSION_CALLS = frozenset({"to_bits", "to_bitmap", "runs_to_bits", "unpackbits"})
 
-#: The bitmap conversion module itself — importing it from a hot path is
-#: banned outright (both spellings).
-_BITMAP_MODULE = "repro.rle.bitmap"
+#: The modules that convert rows to bitmaps — importing one from a hot
+#: path is banned outright (every spelling).  ``packbits`` is a bitmap
+#: codec: its row helpers go through ``to_bits``.
+_BITMAP_MODULES = frozenset({"repro.rle.bitmap", "repro.rle.packbits"})
 
 
 def is_hot_path(rel_path: str) -> bool:
@@ -172,7 +174,7 @@ class HotPathDecompressionRule(Rule):
     description = (
         "hot-path modules (core/, systolic/, rle/ops*.py) must stay in the "
         "RLE domain: no to_bits/to_bitmap/runs_to_bits/unpackbits calls and "
-        "no repro.rle.bitmap imports outside the allowlist"
+        "no repro.rle.bitmap/repro.rle.packbits imports outside the allowlist"
     )
 
     def check(self, module: ModuleContext) -> Iterator[Violation]:
@@ -180,20 +182,16 @@ class HotPathDecompressionRule(Rule):
         if not is_hot_path(rel) or rel in DECOMPRESSION_ALLOWLIST:
             return
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == _BITMAP_MODULE:
-                        yield module.violation(
-                            self, node, "imports repro.rle.bitmap on a hot path"
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                imported = node.module or ""
-                if imported == _BITMAP_MODULE or (
-                    imported == "repro.rle"
-                    and any(alias.name == "bitmap" for alias in node.names)
-                ):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    names = [node.module or ""] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                for banned in sorted(_BITMAP_MODULES.intersection(names)):
                     yield module.violation(
-                        self, node, "imports repro.rle.bitmap on a hot path"
+                        self, node, f"imports {banned} on a hot path"
                     )
             elif isinstance(node, ast.Call):
                 func = node.func

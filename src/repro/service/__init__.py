@@ -8,14 +8,17 @@ a stream of frames, where most content repeats:
 - :mod:`repro.service.cache` — content-addressed LRU of row-diff
   results, keyed by BLAKE2b row fingerprints plus the semantic
   :meth:`~repro.core.options.DiffOptions.cache_key`, byte-budgeted,
-  collision-safe (verbatim-input verification).
+  collision-safe.  One packed row form (:func:`~repro.service.cache.pack_row`,
+  little-endian int64 width then run pairs) is what the fingerprint
+  hashes, what collision checks and in-batch coalescing compare, and
+  what disk entries hold.
 - :mod:`repro.service.batcher` — bounded request queue whose worker
   coalesces concurrent submissions into single
   :class:`~repro.core.batched.BatchedXorEngine` batches, with
   :class:`~repro.errors.ServiceOverloadError` backpressure.
 - :mod:`repro.service.store` — the persistent tier under the LRU:
   :class:`RowStore`, a content-addressed directory of
-  packbits-compressed, checksummed entry files with an append-only LRU
+  checksummed entry files of packed rows with an append-only LRU
   index, single-writer locking and corruption quarantine; selected via
   ``DiffOptions(cache_dir=...)`` and survives process restarts.
 - :mod:`repro.service.service` — the :class:`DiffService` facade tying

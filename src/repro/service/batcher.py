@@ -6,10 +6,11 @@ NumPy operation — but a *service* receives rows one request at a time.
 queue, a single worker thread drains it once per tick (up to
 ``max_batch`` requests, waiting at most ``max_latency`` seconds for
 stragglers), serves what it can from the :class:`~repro.service.cache.DiffCache`,
-dedupes identical pending pairs, and runs the remainder as **one**
-:class:`~repro.core.batched.BatchedXorEngine` batch.  Callers get
-:class:`concurrent.futures.Future` objects back, so a hundred threads
-submitting concurrently cost one batch, not a hundred row runs.
+dedupes identical pending pairs (equal packed bytes), and runs the
+remainder as **one** :class:`~repro.core.batched.BatchedXorEngine`
+batch.  Callers get :class:`concurrent.futures.Future` objects back, so
+a hundred threads submitting concurrently cost one batch, not a hundred
+row runs.
 
 Backpressure is explicit: the queue is bounded (``max_pending``) and a
 full queue raises :class:`~repro.errors.ServiceOverloadError` instead of
@@ -41,7 +42,7 @@ from repro.core.api import row_diff
 from repro.core.batched import BatchedXorEngine
 from repro.core.machine import XorRunResult, default_cell_count
 from repro.core.options import DiffOptions
-from repro.service.cache import CacheKey, DiffCache, row_fingerprint
+from repro.service.cache import CacheKey, DiffCache, PackedPair, pack_pair
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
@@ -97,6 +98,21 @@ def compute_row_diffs(
             ]
         return results
     return [row_diff(ra, rb, options=opts) for ra, rb in zip(rows_a, rows_b)]
+
+
+def check_computed(got: int, expected: int) -> None:
+    """The ComputeFn contract: exactly one result per unique miss.
+
+    A short return silently truncates the batch under ``zip``; a long
+    one silently discards work.  Both indicate a broken compute hook
+    (or a fault injector left attached), so both fail the request with
+    a typed error instead of serving a wrong-shaped answer.
+    """
+    if got != expected:
+        raise ServiceError(
+            f"compute returned {got} result(s) for {expected} unique "
+            f"miss(es); refusing to serve a mismatched batch"
+        )
 
 
 class _Request:
@@ -339,22 +355,25 @@ class RowDiffBatcher:
         with self._stats_lock:
             self.requests += len(batch)
         # 1. cache hits resolve immediately; misses queue for compute,
-        #    deduped so identical pending pairs cost one lane.
-        pending: "Dict[CacheKey, List[_Request]]" = {}
-        order: List[Tuple[CacheKey, _Request]] = []
+        #    deduped so pending pairs with equal packed bytes cost one
+        #    lane (a fingerprint alone may collide).
+        pending: "Dict[PackedPair, List[_Request]]" = {}
+        order: "List[Tuple[Optional[CacheKey], PackedPair, _Request]]" = []
         for request in batch:
-            key = self._key(request.row_a, request.row_b)
+            key: Optional[CacheKey] = None
             if self.cache is not None:
+                key = self.cache.key_for(request.row_a, request.row_b, self.options)
                 hit = self.cache.get(key, request.row_a, request.row_b)
                 if hit is not None:
                     if self._metrics is not None:
                         self._m_hit.inc()
                     request.future.set_result(hit)
                     continue
-            waiters = pending.get(key)
+            packed = pack_pair(request.row_a, request.row_b)
+            waiters = pending.get(packed)
             if waiters is None:
-                pending[key] = [request]
-                order.append((key, request))
+                pending[packed] = [request]
+                order.append((key, packed, request))
                 if self._metrics is not None:
                     self._m_computed.inc()
             else:
@@ -370,32 +389,15 @@ class RowDiffBatcher:
             self._m_batch_size.observe(float(len(order)))
         results = self._compute(
             self.options,
-            [request.row_a for _, request in order],
-            [request.row_b for _, request in order],
+            [request.row_a for _, _, request in order],
+            [request.row_b for _, _, request in order],
         )
-        # A ComputeFn that returns the wrong number of results would
-        # silently drop the trailing requests under zip — their futures
-        # would never resolve and callers would block forever.  Fail the
-        # whole batch with a typed error instead (the _serve wrapper
-        # forwards it to every unresolved future).
-        if len(results) != len(order):
-            raise ServiceError(
-                f"compute returned {len(results)} result(s) for "
-                f"{len(order)} unique miss(es); refusing to serve a "
-                f"mismatched batch"
-            )
+        # a wrong count would strand futures under zip; the _serve
+        # wrapper forwards the typed error to every unresolved one
+        check_computed(len(results), len(order))
         # 3. store and resolve every waiter.
-        for (key, request), result in zip(order, results):
-            if self.cache is not None:
+        for (key, packed, request), result in zip(order, results):
+            if self.cache is not None and key is not None:
                 self.cache.put(key, request.row_a, request.row_b, result)
-            for waiter in pending[key]:
+            for waiter in pending[packed]:
                 waiter.future.set_result(result)
-
-    def _key(self, row_a: RLERow, row_b: RLERow) -> CacheKey:
-        if self.cache is not None:
-            return self.cache.key_for(row_a, row_b, self.options)
-        return (
-            row_fingerprint(row_a),
-            row_fingerprint(row_b),
-            self.options.cache_key(),
-        )

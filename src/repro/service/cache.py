@@ -1,8 +1,9 @@
 """Content-addressed row-diff caching.
 
 The paper's whole premise is that compressed rows are *cheap to key and
-compare*: a row is a short tuple list, so hashing it costs O(k) — tiny
-next to even one systolic run — and identical rows are everywhere in
+compare*: a row is a short run list, packed by :func:`pack_row` into
+one byte string, so hashing or comparing it costs O(k) — tiny next to
+even one systolic run — and identical rows are everywhere in
 real workloads (static backgrounds between surveillance frames, golden
 reference rows in PCB inspection, repeated scan lines in documents).
 :class:`DiffCache` exploits that redundancy: results are keyed by
@@ -12,8 +13,8 @@ presenting the same content gets the stored
 fresh computation (asserted by the service invariant tests).
 
 Correctness before speed: fingerprints are 128-bit BLAKE2b digests, but
-the cache never *trusts* them — every entry stores the verbatim input
-run pairs and a hit is only served after an exact comparison.  A
+the cache never *trusts* them — every entry stores both input rows'
+packed bytes and a hit is only served after a bytes compare.  A
 fingerprint collision therefore degrades to a counted miss
 (``repro_cache_collisions_total``), never a wrong answer; the collision
 tests inject a deliberately truncated fingerprint function to exercise
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ServiceError
+from repro.errors import FormatError, ServiceError
 from repro.rle.row import RLERow
 from repro.core.machine import XorRunResult
 from repro.core.options import DiffOptions
@@ -61,7 +62,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
     from repro.service.store import RowStore
 
-__all__ = ["row_fingerprint", "DiffCache", "CacheKey"]
+__all__ = [
+    "CacheKey",
+    "DiffCache",
+    "PackedPair",
+    "pack_pair",
+    "pack_row",
+    "row_fingerprint",
+    "unpack_row",
+]
 
 #: Default cache budget: 32 MiB of estimated entry footprint.
 DEFAULT_CACHE_BYTES = 32 * 1024 * 1024
@@ -70,60 +79,70 @@ DEFAULT_CACHE_BYTES = 32 * 1024 * 1024
 #: key (:meth:`repro.core.options.DiffOptions.cache_key`).
 CacheKey = Tuple[bytes, bytes, Tuple[str, Optional[int], bool, bool]]
 
-#: Verbatim inputs stored for collision verification: the two rows'
-#: run pairs and widths, as builtin tuples.
-_Inputs = Tuple[Tuple[Tuple[int, int], ...], Optional[int], Tuple[Tuple[int, int], ...], Optional[int]]
+#: Verbatim inputs stored for collision verification: both rows of a
+#: request in :func:`pack_row` form.
+PackedPair = Tuple[bytes, bytes]
 
 #: Fixed per-entry overhead estimate (key, dict slot, dataclass, result
 #: object shells) in bytes.
 _ENTRY_OVERHEAD = 512
 
-#: Estimated bytes per stored run: one (start, length) int pair in the
-#: verbatim inputs or the result row, plus tuple/Run object overhead.
+#: Estimated bytes per stored run: one (start, length) pair in the
+#: packed inputs or the result row, plus Run object overhead.
 _RUN_BYTES = 96
 
 
-def row_fingerprint(row: RLERow) -> bytes:
-    """A 128-bit content digest of one RLE row.
+def pack_row(row: RLERow) -> bytes:
+    """The cache tier's one form of a row: little-endian int64
+    ``[width or -1, start0, length0, start1, length1, ...]``.
 
-    Covers the width and every ``(start, length)`` pair, so two rows
-    fingerprint equal iff they are structurally identical (same runs,
-    same declared width — ``None`` widths are distinguished from every
-    concrete width).  O(k) in the run count: this is the "compressed
-    rows are cheap to key" dividend the service layer is built on.
+    Two rows pack equal iff they are structurally identical (same runs,
+    same declared width — ``None`` is distinguished from every concrete
+    width), so fingerprints, collision checks, in-batch coalescing and
+    disk entries all work on these bytes.  O(k) in the run count: this
+    is the "compressed rows are cheap to key" dividend the service
+    layer is built on.
     """
-    digest = blake2b(digest_size=16)
-    width = -1 if row.width is None else row.width
-    runs = row.runs
-    flat = [0] * (2 * len(runs) + 1)
-    flat[0] = width
-    i = 1
-    for run in runs:
-        flat[i] = run.start
-        flat[i + 1] = run.length
-        i += 2
-    digest.update(struct.pack(f"<{len(flat)}q", *flat))
-    return digest.digest()
+    flat = [-1 if row.width is None else row.width]
+    for run in row.runs:
+        flat.append(run.start)
+        flat.append(run.length)
+    return struct.pack(f"<{len(flat)}q", *flat)
 
 
-def _verbatim(row_a: RLERow, row_b: RLERow) -> _Inputs:
-    return (
-        tuple((r.start, r.length) for r in row_a.runs),
-        row_a.width,
-        tuple((r.start, r.length) for r in row_b.runs),
-        row_b.width,
-    )
+def unpack_row(data: bytes) -> RLERow:
+    """The inverse of :func:`pack_row`: :class:`~repro.errors.FormatError`
+    unless ``data`` is a width word plus whole pairs, and the row's own
+    typed errors for runs that do not form a valid row."""
+    if len(data) % 16 != 8:
+        raise FormatError(f"a packed row cannot be {len(data)} bytes long")
+    flat = struct.unpack(f"<{len(data) // 8}q", data)
+    width = None if flat[0] < 0 else flat[0]
+    return RLERow.from_pairs(zip(flat[1::2], flat[2::2]), width=width)
+
+
+def pack_pair(row_a: RLERow, row_b: RLERow) -> PackedPair:
+    """Both rows of one request in :func:`pack_row` form."""
+    return pack_row(row_a), pack_row(row_b)
+
+
+def row_fingerprint(row: RLERow) -> bytes:
+    """A 128-bit content digest of one RLE row: BLAKE2b over
+    :func:`pack_row`, so two rows fingerprint equal iff they pack
+    equal."""
+    return blake2b(pack_row(row), digest_size=16).digest()
 
 
 @dataclass
 class _CacheEntry:
-    inputs: _Inputs
+    inputs: PackedPair
     result: XorRunResult
     nbytes: int
 
 
-def _entry_nbytes(inputs: _Inputs, result: XorRunResult) -> int:
-    runs = len(inputs[0]) + len(inputs[2]) + result.result.run_count
+def _entry_nbytes(inputs: PackedPair, result: XorRunResult) -> int:
+    # 16 bytes per packed run; the width word rounds away
+    runs = len(inputs[0]) // 16 + len(inputs[1]) // 16 + result.result.run_count
     return _ENTRY_OVERHEAD + _RUN_BYTES * runs
 
 
@@ -230,7 +249,7 @@ class DiffCache:
         compared — a fingerprint collision is counted and reported as a
         miss, never served.
         """
-        inputs = _verbatim(row_a, row_b)
+        inputs = pack_pair(row_a, row_b)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -286,9 +305,9 @@ class DiffCache:
         pressure — including an entry too large to ever fit — are
         demoted to the store (write-behind) after the lock is released,
         so an eviction costs disk IO but never discards work."""
-        inputs = _verbatim(row_a, row_b)
+        inputs = pack_pair(row_a, row_b)
         nbytes = _entry_nbytes(inputs, result)
-        demoted: "List[Tuple[CacheKey, _Inputs, XorRunResult]]" = []
+        demoted: "List[Tuple[CacheKey, PackedPair, XorRunResult]]" = []
         with self._lock:
             old = self._entries.pop(key, None)
             if old is not None:
@@ -408,12 +427,6 @@ class DiffCache:
             self._entries.clear()
             self._bytes = 0
             self._sync_gauges()
-
-    @property
-    def row_store(self) -> "Optional[RowStore]":
-        """The attached disk tier, if any (``store`` is already taken by
-        the write-through convenience method)."""
-        return self._store
 
     def flush(self) -> int:
         """Demote every RAM-resident entry to the disk tier.

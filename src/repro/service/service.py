@@ -60,30 +60,22 @@ from repro.service.batcher import (
     DEFAULT_MAX_PENDING,
     ComputeFn,
     RowDiffBatcher,
+    check_computed,
     compute_row_diffs,
 )
-from repro.service.cache import DEFAULT_CACHE_BYTES, CacheKey, DiffCache
+from repro.service.cache import (
+    DEFAULT_CACHE_BYTES,
+    CacheKey,
+    DiffCache,
+    PackedPair,
+    pack_pair,
+)
 from repro.service.store import DEFAULT_DISK_BUDGET, RowStore
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["DiffService"]
-
-
-def _check_computed(got: int, expected: int) -> None:
-    """The ComputeFn contract: exactly one result per unique miss.
-
-    A short return silently truncates the batch under ``zip``; a long
-    one silently discards work.  Both indicate a broken compute hook
-    (or a fault injector left attached), so both fail the request with
-    a typed error instead of serving a wrong-shaped answer.
-    """
-    if got != expected:
-        raise ServiceError(
-            f"compute returned {got} result(s) for {expected} unique "
-            f"miss(es); refusing to serve a mismatched batch"
-        )
 
 
 class DiffService:
@@ -313,12 +305,12 @@ class DiffService:
             return []
         if self.cache is None:
             results = self._compute(self.options, rows_a, rows_b)
-            _check_computed(len(results), len(rows_a))
+            check_computed(len(results), len(rows_a))
             self._batcher.record_outcomes(computed=len(results))
             return results
         served: List[Optional[XorRunResult]] = [None] * len(rows_a)
-        waiters: Dict[CacheKey, List[int]] = {}
-        order: List[Tuple[CacheKey, int]] = []
+        waiters: Dict[PackedPair, List[int]] = {}
+        order: List[Tuple[CacheKey, PackedPair, int]] = []
         hits = coalesced = 0
         for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
             key = self.cache.key_for(ra, rb, self.options)
@@ -327,27 +319,29 @@ class DiffService:
                 served[i] = hit
                 hits += 1
                 continue
-            indices = waiters.get(key)
+            # coalesce on the packed bytes: a fingerprint alone may collide
+            packed = pack_pair(ra, rb)
+            indices = waiters.get(packed)
             if indices is None:
-                waiters[key] = [i]
-                order.append((key, i))
+                waiters[packed] = [i]
+                order.append((key, packed, i))
             else:
                 indices.append(i)
                 coalesced += 1
         if order:
             computed = self._compute(
                 self.options,
-                [rows_a[i] for _, i in order],
-                [rows_b[i] for _, i in order],
+                [rows_a[i] for _, _, i in order],
+                [rows_b[i] for _, _, i in order],
             )
             # A short compute used to be masked here: zip dropped the
             # trailing misses and the leftover None slots were filtered
             # out of the return, yielding an image with fewer rows than
             # its inputs.  Validate the count and raise instead.
-            _check_computed(len(computed), len(order))
-            for (key, i), result in zip(order, computed):
+            check_computed(len(computed), len(order))
+            for (key, packed, i), result in zip(order, computed):
                 self.cache.put(key, rows_a[i], rows_b[i], result)
-                for j in waiters[key]:
+                for j in waiters[packed]:
                     served[j] = result
         self._batcher.record_outcomes(
             hit=hits, computed=len(order), coalesced=coalesced

@@ -8,12 +8,12 @@ it across restarts.  A :class:`RowStore` is a directory of entry files,
 each holding one cached :class:`~repro.core.machine.XorRunResult`
 together with the verbatim input rows that produced it, addressed by a
 digest of the same :class:`~repro.service.cache.CacheKey` the RAM tier
-uses.  Rows are stored packbits-compressed (:mod:`repro.rle.packbits`)
-when their run structure survives a bit-pattern round trip, and as raw
-run pairs otherwise — the systolic output "is not always compressed as
-much as possible" (adjacent runs are legal), and the service's
-byte-identity contract means the store must reproduce even those
-non-canonical runs exactly.
+uses.  Every row in an entry — both inputs and the result — is the
+cache tier's one packed form (:func:`~repro.service.cache.pack_row`:
+little-endian int64 width then ``(start, length)`` pairs), the bytes
+the fingerprint already hashes.  That form keeps the exact run
+structure, so the systolic output, which "is not always compressed as
+much as possible" (adjacent runs are legal), comes back byte-identical.
 
 Correctness before speed, same creed as the RAM tier:
 
@@ -22,8 +22,8 @@ Correctness before speed, same creed as the RAM tier:
   write or renamed file fails *closed*: the entry is moved to
   ``quarantine/``, counted (``repro_cache_disk_quarantined_total``,
   ``cache_quarantine`` log event) and reported as a miss, never served;
-* the payload stores the verbatim input run pairs, and a hit is only
-  served after an exact comparison — a fingerprint collision on disk
+* the payload stores both input rows' packed bytes, and a hit is only
+  served after a bytes compare — a fingerprint collision on disk
   degrades to a counted miss exactly like in RAM;
 * results carrying a live trace recorder are never persisted (counted
   as ``skipped``) — a trace is a debugging artifact of one process, not
@@ -56,16 +56,15 @@ try:  # pragma: no cover - POSIX everywhere we run
 except ImportError:  # pragma: no cover - non-POSIX fallback
     _fcntl = None  # type: ignore[assignment]
 
-from repro.errors import FormatError, ServiceError
+from repro.errors import EncodingError, FormatError, GeometryError, ServiceError
 from repro.core.machine import XorRunResult
-from repro.rle import packbits
-from repro.rle.row import RLERow
+from repro.service.cache import pack_row, unpack_row
 from repro.systolic.stats import ActivityStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.log import StructuredLog
     from repro.obs.metrics import MetricsRegistry
-    from repro.service.cache import CacheKey, _Inputs
+    from repro.service.cache import CacheKey, PackedPair
 
 __all__ = [
     "DEFAULT_DISK_BUDGET",
@@ -79,23 +78,18 @@ __all__ = [
 #: Default on-disk byte budget: 256 MiB of entry files.
 DEFAULT_DISK_BUDGET = 256 * 1024 * 1024
 
-#: Entry-file magic tag ("Repro Store Entry, format 1").
-STORE_MAGIC = b"RSE1"
+#: Entry-file magic tag ("Repro Store Entry, format 2").  Entries from
+#: an older format fail the magic check and are quarantined as misses.
+STORE_MAGIC = b"RSE2"
 
 #: Fixed header layout after the magic: key digest (16), payload length
 #: (u64), payload checksum (16).
 _HEADER = struct.Struct("<16sQ16s")
 
-#: Row payload modes: packbits over the bit pattern, or raw run pairs.
-_MODE_PACKBITS = 0
-_MODE_PAIRS = 1
-
 #: Compact the append-only index when it holds this many times more
 #: lines than live entries (and at least ``_COMPACT_MIN`` lines).
 _COMPACT_FACTOR = 8
 _COMPACT_MIN = 1024
-
-_Pairs = Tuple[Tuple[int, int], ...]
 
 
 # --------------------------------------------------------------------- #
@@ -138,76 +132,30 @@ def _decode_key(data: bytes, off: int) -> Tuple["CacheKey", int]:
     return key, off
 
 
-def _pairs_reconstructible_from_bits(pairs: _Pairs, width: Optional[int]) -> bool:
-    """Whether packbits (a bit-pattern codec) can round-trip ``pairs``
-    exactly.  Adjacent or unsorted runs collapse under a bit round trip
-    — those rows must travel as raw pairs to keep byte identity."""
-    if width is None:
-        return False
-    next_free = 0  # earliest start the next run may use, keeping a gap
-    for start, length in pairs:
-        if length < 1 or start < next_free or start + length > width:
-            return False
-        # from_bits merges touching runs, so demand a 1-column gap
-        next_free = start + length + 1
-    return True
+def _take_row(data: bytes, off: int) -> Tuple[bytes, int]:
+    (nbytes,) = struct.unpack_from("<I", data, off)
+    off += 4
+    row = data[off : off + nbytes]
+    if len(row) != nbytes:
+        raise FormatError("store entry truncated inside a row")
+    return row, off + nbytes
 
 
-def _encode_rle(pairs: _Pairs, width: Optional[int]) -> bytes:
-    out = bytearray(struct.pack("<q", -1 if width is None else width))
-    if _pairs_reconstructible_from_bits(pairs, width):
-        packed = packbits.encode_row(RLERow.from_pairs(pairs, width=width))
-        out += struct.pack("<BI", _MODE_PACKBITS, len(packed))
-        out += packed
-        return bytes(out)
-    out += struct.pack("<BI", _MODE_PAIRS, len(pairs))
-    for start, length in pairs:
-        out += struct.pack("<qq", start, length)
-    return bytes(out)
-
-
-def _decode_rle(data: bytes, off: int) -> Tuple[_Pairs, Optional[int], int]:
-    (raw_width,) = struct.unpack_from("<q", data, off)
-    off += 8
-    width: Optional[int] = None if raw_width < 0 else raw_width
-    mode, count = struct.unpack_from("<BI", data, off)
-    off += struct.calcsize("<BI")
-    if mode == _MODE_PACKBITS:
-        if width is None:
-            raise FormatError("packbits-mode row without a width")
-        packed = data[off : off + count]
-        if len(packed) != count:
-            raise FormatError("store entry truncated inside a packbits row")
-        off += count
-        row = packbits.decode_row(bytes(packed), width)
-        return tuple(row.to_pairs()), width, off
-    if mode != _MODE_PAIRS:
-        raise FormatError(f"unknown row mode {mode} in store entry")
-    need = 16 * count
-    if len(data) - off < need:
-        raise FormatError("store entry truncated inside a run-pair row")
-    pairs: List[Tuple[int, int]] = []
-    for _ in range(count):
-        start, length = struct.unpack_from("<qq", data, off)
-        off += 16
-        pairs.append((start, length))
-    return tuple(pairs), width, off
-
-
-def encode_entry(key: "CacheKey", inputs: "_Inputs", result: XorRunResult) -> bytes:
+def encode_entry(
+    key: "CacheKey", inputs: "PackedPair", result: XorRunResult
+) -> bytes:
     """One cache entry as a self-validating byte blob.
 
-    Layout: ``RSE1`` magic, then a fixed header (key digest, payload
+    Layout: ``RSE2`` magic, then a fixed header (key digest, payload
     length, BLAKE2b-128 payload checksum), then the payload — the full
-    cache key, the two verbatim input rows, the result row (packbits
-    when bit-reconstructible, raw pairs otherwise) and the run metadata
-    (iterations, k1, k2, n_cells, activity counters).
+    cache key, the two input rows' bytes as given, the result row in
+    the same :func:`~repro.service.cache.pack_row` form (each row
+    behind a ``u32`` byte length) and the run metadata (iterations,
+    k1, k2, n_cells, activity counters).
     """
-    pairs_a, width_a, pairs_b, width_b = inputs
     payload = bytearray(_encode_key(key))
-    payload += _encode_rle(pairs_a, width_a)
-    payload += _encode_rle(pairs_b, width_b)
-    payload += _encode_rle(tuple(result.result.to_pairs()), result.result.width)
+    for row in (*inputs, pack_row(result.result)):
+        payload += struct.pack("<I", len(row)) + row
     payload += struct.pack(
         "<qqqq", result.iterations, result.k1, result.k2, result.n_cells
     )
@@ -221,12 +169,14 @@ def encode_entry(key: "CacheKey", inputs: "_Inputs", result: XorRunResult) -> by
     return STORE_MAGIC + _HEADER.pack(entry_digest(key), len(blob), checksum) + blob
 
 
-def decode_entry(blob: bytes) -> Tuple["CacheKey", "_Inputs", XorRunResult]:
+def decode_entry(blob: bytes) -> Tuple["CacheKey", "PackedPair", XorRunResult]:
     """Validate and decode :func:`encode_entry` output.
 
     Raises :class:`~repro.errors.FormatError` on any structural damage:
-    bad magic, short header, length mismatch, checksum mismatch, or a
-    payload that does not parse.  Callers quarantine on that signal.
+    bad magic (including an entry from an older format), short header,
+    length mismatch, checksum mismatch, a payload that does not parse,
+    or a result row that is not a valid row.  Callers quarantine on
+    that signal.
     """
     if blob[:4] != STORE_MAGIC:
         raise FormatError("store entry has a bad magic tag")
@@ -242,9 +192,9 @@ def decode_entry(blob: bytes) -> Tuple["CacheKey", "_Inputs", XorRunResult]:
         raise FormatError("store entry payload checksum mismatch")
     try:
         key, off = _decode_key(payload, 0)
-        pairs_a, width_a, off = _decode_rle(payload, off)
-        pairs_b, width_b, off = _decode_rle(payload, off)
-        pairs_r, width_r, off = _decode_rle(payload, off)
+        row_a, off = _take_row(payload, off)
+        row_b, off = _take_row(payload, off)
+        row_r, off = _take_row(payload, off)
         iterations, k1, k2, n_cells = struct.unpack_from("<qqqq", payload, off)
         off += 32
         (n_items,) = struct.unpack_from("<I", payload, off)
@@ -258,20 +208,20 @@ def decode_entry(blob: bytes) -> Tuple["CacheKey", "_Inputs", XorRunResult]:
             (value,) = struct.unpack_from("<q", payload, off)
             off += 8
             items.append((name, value))
-    except (struct.error, UnicodeDecodeError) as exc:
+        result_row = unpack_row(row_r)
+    except (struct.error, UnicodeDecodeError, EncodingError, GeometryError) as exc:
         raise FormatError(f"store entry payload does not parse: {exc}") from exc
     if entry_digest(key) != digest:
         raise FormatError("store entry key does not match its header digest")
-    inputs: "_Inputs" = (pairs_a, width_a, pairs_b, width_b)
     result = XorRunResult(
-        result=RLERow.from_pairs(pairs_r, width=width_r),
+        result=result_row,
         iterations=iterations,
         k1=k1,
         k2=k2,
         n_cells=n_cells,
         stats=ActivityStats.from_items(items),
     )
-    return key, inputs, result
+    return key, (row_a, row_b), result
 
 
 def entry_digest(key: "CacheKey") -> bytes:
@@ -485,15 +435,17 @@ class RowStore:
         return os.path.join(self._objects, digest_hex[:2], digest_hex)
 
     # -- read path ----------------------------------------------------- #
-    def get(self, key: "CacheKey", inputs: "_Inputs") -> Optional[XorRunResult]:
+    def get(self, key: "CacheKey", inputs: "PackedPair") -> Optional[XorRunResult]:
         """The stored result for ``key``, or ``None``.
 
-        ``inputs`` are the requesting rows' verbatim run pairs — a hit
-        is only served after they compare equal to the stored ones.
-        Any structural damage (bad magic/length/checksum, unparseable
-        payload, or a payload whose key disagrees with the file's
-        address — the stale-fingerprint case) quarantines the file and
-        reports a miss: a corrupt disk can cost hit rate, never bytes.
+        ``inputs`` are the requesting rows' packed bytes
+        (:func:`~repro.service.cache.pack_pair`) — a hit is only served
+        after they compare equal to the stored ones.  Any structural
+        damage (bad magic/length/checksum, unparseable payload, an
+        invalid result row, or a payload whose key disagrees with the
+        file's address — the stale-fingerprint case) quarantines the
+        file and reports a miss: a corrupt disk can cost hit rate,
+        never bytes.
         """
         digest_hex = entry_digest(key).hex()
         with self._lock:
@@ -551,18 +503,8 @@ class RowStore:
             self._sync_gauges()
             return result
 
-    def contains(self, key: "CacheKey") -> bool:
-        """Whether an entry file exists for ``key`` (no validation)."""
-        digest_hex = entry_digest(key).hex()
-        with self._lock:
-            if self._closed or digest_hex in self._tombstones:
-                return False
-            return digest_hex in self._index or os.path.exists(
-                self._path_for(digest_hex)
-            )
-
     # -- write path ---------------------------------------------------- #
-    def put(self, key: "CacheKey", inputs: "_Inputs", result: XorRunResult) -> bool:
+    def put(self, key: "CacheKey", inputs: "PackedPair", result: XorRunResult) -> bool:
         """Persist one entry; returns whether it landed on disk.
 
         Refused (``False``, counted) when the store is read-only or

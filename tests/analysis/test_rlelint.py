@@ -142,6 +142,15 @@ class TestRLE003HotPathDecompression:
     def test_bitmap_submodule_from_import_fires(self):
         assert codes("from repro.rle import bitmap") == ["RLE003"]
 
+    def test_packbits_module_import_fires(self):
+        assert codes("import repro.rle.packbits") == ["RLE003"]
+
+    def test_packbits_from_import_fires(self):
+        assert codes("from repro.rle.packbits import encode_row") == ["RLE003"]
+
+    def test_packbits_submodule_from_import_fires(self):
+        assert codes("from repro.rle import packbits") == ["RLE003"]
+
     def test_cold_path_exempt(self):
         assert codes("bits = row.to_bits()", rel_path="rle/row.py") == []
         assert codes("bits = row.to_bits()", rel_path="inspection/defects.py") == []

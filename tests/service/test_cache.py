@@ -47,6 +47,18 @@ class TestFingerprint:
             RLERow.from_pairs([], width=16)
         )
 
+    def test_digests_pinned(self):
+        # the packed form hashed here is also the store's row form and
+        # the shard ring's key: these digests must never move
+        cases = [
+            ([(2, 3), (8, 2)], 24, "09e21d0c84796cd997489cb606261507"),
+            ([(0, 1), (5, 7)], None, "ff74b17d94cc3561c0d99f611be6f13c"),
+            ([], 16, "9f5e766fb75b1ef4b6c64ff0f5581af1"),
+        ]
+        for pairs, width, digest in cases:
+            row = RLERow.from_pairs(pairs, width=width)
+            assert row_fingerprint(row).hex() == digest
+
 
 class TestHitMiss:
     def test_miss_then_hit_round_trip(self):

@@ -12,6 +12,8 @@ from repro.core.options import ENGINE_NAMES, DiffOptions
 from repro.core.pipeline import diff_images
 from repro.obs.metrics import MetricsRegistry
 from repro.service import DiffService
+from repro.service.batcher import RowDiffBatcher
+from repro.service.cache import DiffCache, row_fingerprint
 from tests.conftest import row_pairs
 
 FAST = {"max_latency": 0.0}  # no coalescing wait — keeps tests snappy
@@ -313,3 +315,31 @@ class TestBatchSizeHistogramParity:
         # one unique miss computed, two coalesced waiters: the histogram
         # sees a single batch of size 1
         assert self._histogram(registry) == (1.0, 1)
+
+
+class TestCoalescingComparesContent:
+    """Two pending pairs share one engine lane only when their packed
+    bytes are equal: a fingerprint collision inside one batch must not
+    hand one pair the other's result."""
+
+    @pytest.mark.parametrize("path", ["bulk", "queued"])
+    def test_colliding_pairs_in_one_batch_computed_apart(self, path):
+        weak = DiffCache(fingerprint=lambda row: row_fingerprint(row)[:1])
+        options = DiffOptions(engine="batched")
+        a1 = RLERow.from_pairs([(5, 2)], width=64)
+        a2 = RLERow.from_pairs([(49, 2)], width=64)
+        b = RLERow.from_pairs([(40, 3)], width=64)
+        assert weak.key_for(a1, b, options) == weak.key_for(a2, b, options)
+        if path == "bulk":
+            with DiffService(options, **FAST) as service:
+                service.cache = weak
+                got = service.diff_rows([a1, a2], [b, b])
+        else:
+            # a long window keeps both submissions in one tick
+            with RowDiffBatcher(options, cache=weak, max_latency=0.5) as batcher:
+                futures = [batcher.submit(a1, b), batcher.submit(a2, b)]
+                got = [future.result(timeout=10) for future in futures]
+        assert [r.result.to_pairs() for r in got] == [
+            [(5, 2), (40, 3)],
+            [(40, 3), (49, 2)],
+        ]

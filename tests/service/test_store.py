@@ -15,16 +15,18 @@ with read-only degradation, and quarantine-on-corruption.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import FormatError, ServiceError
 from repro.rle.row import RLERow
+from repro.rle.run import Run
 from repro.core.api import row_diff
 from repro.core.options import DiffOptions
 from repro.obs.metrics import MetricsRegistry
-from repro.service.cache import row_fingerprint
+from repro.service.cache import DiffCache, pack_pair, row_fingerprint, unpack_row
 from repro.service.store import (
     STORE_MAGIC,
     RowStore,
@@ -43,12 +45,7 @@ def key_for(a: RLERow, b: RLERow, options: DiffOptions = OPTS):
 
 
 def verbatim(a: RLERow, b: RLERow):
-    return (
-        tuple((r.start, r.length) for r in a.runs),
-        a.width,
-        tuple((r.start, r.length) for r in b.runs),
-        b.width,
-    )
+    return pack_pair(a, b)
 
 
 def entry_for(a: RLERow, b: RLERow, options: DiffOptions = OPTS):
@@ -92,9 +89,8 @@ class TestCodecRoundTrip:
         assert (got_key, got_inputs) == (key, inputs)
         assert_same_result(got_result, result)
 
-    # Rows the packbits fast path must *refuse* (adjacent fragments,
-    # unsorted runs, missing width) travel as raw pairs; the codec has
-    # to keep their exact run structure, not just their pixels.
+    # Edge rows (empty, full, adjacent fragments, missing width): the
+    # codec has to keep their exact run structure, not just their pixels.
     @pytest.mark.parametrize(
         "pairs,width",
         [
@@ -138,7 +134,7 @@ class TestCodecRoundTrip:
         result = _fabricated_result([(0, 2)], width)
         _, got_inputs, _ = decode_entry(encode_entry(key, inputs, result))
         assert got_inputs == inputs
-        assert got_inputs[0] == tuple(pairs)
+        assert unpack_row(got_inputs[0]).to_pairs() == pairs
 
     def test_options_in_the_key_round_trip(self):
         a = RLERow.from_pairs([(0, 2)], width=8)
@@ -153,6 +149,21 @@ class TestCodecRoundTrip:
                 encode_entry(key, verbatim(a, b), _fabricated_result([], 8))
             )
             assert got_key == key
+
+
+#: An ``RSE1`` entry (the format before rows shared the cache's packed
+#: form) for ``key_for(a, b)`` with ``a = [(2,3),(8,2)]``,
+#: ``b = [(1,3),(9,2)]``, width 24, written by that format's encoder.
+RSE1_ENTRY = (
+    "525345318ac858199758d2879a901fbdabb6dccae000000000000000587456f1b9d1f4e6"
+    "a992ab8b002195ea09e21d0c84796cd997489cb60626150754397886e6dcbba92f4c4f31"
+    "27f4053808737973746f6c6963ffffffffffffffff000018000000000000000004000000"
+    "0238c0001800000000000000000400000002706000180000000000000000040000000248"
+    "a000040000000000000002000000000000000200000000000000050000000000000005000"
+    "0000a00627573795f63656c6c730e0000000000000005006d6f7665730200000000000000"
+    "060073686966747304000000000000000500737761707303000000000000000a00786f72"
+    "5f73706c6974730200000000000000"
+)
 
 
 def _fabricated_result(pairs, width):
@@ -212,6 +223,13 @@ class TestCodecDamage:
     def test_extension_is_rejected(self):
         with pytest.raises(FormatError):
             decode_entry(self._blob() + b"\x00")
+
+    def test_entry_digest_pinned(self):
+        # store addresses must not move when the row form changes
+        a = RLERow.from_pairs([(2, 3), (8, 2)], width=24)
+        b = RLERow.from_pairs([(1, 3), (9, 2)], width=24)
+        digest = entry_digest(key_for(a, b))
+        assert digest.hex() == "8ac858199758d2879a901fbdabb6dcca"
 
     def test_digest_is_content_addressed(self):
         a = RLERow.from_pairs([(0, 2)], width=8)
@@ -430,6 +448,41 @@ class TestRowStore:
             # a fresh put clears the tombstone and serves again
             assert store.put(key, inputs, result)
             assert_same_result(store.get(key, inputs), result)
+
+    def test_invalid_result_row_is_a_quarantined_miss(self, tmp_path):
+        # a checksum-valid entry whose result row overlaps itself, as a
+        # buggy writer could produce: decoding must fail closed, not
+        # raise the row's own error on every later lookup
+        a, b = make_pair(1)
+        key, inputs, result = entry_for(a, b)
+        row = object.__new__(RLERow)  # bypass validation on purpose
+        row._runs = (Run(0, 4), Run(2, 4))
+        row._width = 64
+        with RowStore(str(tmp_path)) as store:
+            assert store.put(key, inputs, replace(result, result=row))
+            digest_hex = entry_digest(key).hex()
+            assert store.get(key, inputs) is None
+            assert store.quarantined == 1 and store.misses == 1
+            assert (tmp_path / "quarantine" / digest_hex).exists()
+            assert store.put(key, inputs, replace(result, result=row))
+            cache = DiffCache(store=store)
+            assert cache.get(key, a, b) is None
+            assert cache.misses == 1 and store.quarantined == 2
+
+    def test_older_format_entry_is_a_quarantined_miss(self, tmp_path):
+        a = RLERow.from_pairs([(2, 3), (8, 2)], width=24)
+        b = RLERow.from_pairs([(1, 3), (9, 2)], width=24)
+        key = key_for(a, b)
+        digest_hex = entry_digest(key).hex()
+        path = tmp_path / "objects" / digest_hex[:2] / digest_hex
+        path.parent.mkdir(parents=True)
+        path.write_bytes(bytes.fromhex(RSE1_ENTRY))
+        with RowStore(str(tmp_path)) as store:
+            assert store.warm_entries == 1
+            assert store.get(key, verbatim(a, b)) is None
+            assert store.quarantined == 1 and store.misses == 1
+            assert store.hits == 0 and len(store) == 0
+            assert (tmp_path / "quarantine" / digest_hex).exists()
 
     def test_quarantine_survives_restart(self, tmp_path):
         with RowStore(str(tmp_path)) as store:

@@ -24,6 +24,7 @@ from repro.core.api import row_diff
 from repro.core.options import DiffOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.service import DiffService
+from repro.service.cache import pack_pair
 from repro.service.chaos import DISK_FAULT_FLAVOURS, corrupt_disk_entry
 from repro.service.store import RowStore, entry_digest
 from repro.errors import ServiceError
@@ -125,13 +126,7 @@ class TestFaultRateWorkload:
                 assert corrupt_disk_entry(store, a, b, OPTS, flavour=flavour)
             # serve the whole workload against the damaged store
             for i, (a, b) in enumerate(pairs):
-                key, inputs, want = key_for(a, b, OPTS), None, truth[i]
-                inputs = (
-                    tuple((r.start, r.length) for r in a.runs),
-                    a.width,
-                    tuple((r.start, r.length) for r in b.runs),
-                    b.width,
-                )
+                key, inputs, want = key_for(a, b, OPTS), pack_pair(a, b), truth[i]
                 got = store.get(key, inputs)
                 if i in victims:
                     assert got is None, f"rotted entry {i} was served"
