@@ -14,9 +14,11 @@ measured batched-vs-row-loop speedup on a 512-row Figure 5 image
 the same numbers machine-readable.
 
 Smoke mode: ``REPRO_BENCH_SMOKE=1`` shrinks the image workload to a
-tiny configuration and skips the artifact write and the speedup floor,
-keeping only the correctness gate (batched must match the sequential
-baseline) — CI runs this on every push so perf code can't rot silently.
+small configuration and skips the artifact write and the speedup floor,
+keeping only the correctness gates (batched must match the sequential
+baseline, and its per-lane iterations and activity counters must match
+the vectorized engine) — CI runs this on every push so perf code can't
+rot silently.
 """
 
 import os
@@ -40,8 +42,10 @@ WORKLOAD = "paper-figure5-5pct"
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 #: The tentpole image workload: Figure 5 rows (10 000 px, 30 % density,
 #: 5 % differing pixels) stacked 512 high.  Smoke keeps the same recipe
-#: at toy scale so the equivalence gate stays cheap enough for CI.
-IMAGE_ROWS = 8 if SMOKE else 512
+#: at toy scale so the equivalence gate stays cheap enough for CI, but
+#: tall enough that lanes finish at spread iterations and the batched
+#: engine retires finished lanes mid-run.
+IMAGE_ROWS = 32 if SMOKE else 512
 IMAGE_WIDTH = 400 if SMOKE else 10_000
 IMAGE_ERROR_FRACTION = 0.05
 SPEEDUP_FLOOR = 5.0
@@ -127,8 +131,10 @@ def _best_of(fn, rounds):
 
 def test_batched_image_speedup_and_equivalence(image_rows, results_dir):
     """The tentpole gate: the batched engine must match the sequential
-    baseline on every row of the image, and (outside smoke mode) beat
-    the per-row vectorized loop by ≥5× on the 512-row Figure 5 image."""
+    baseline on every row of the image, its per-lane iterations and
+    activity counters must match the vectorized engine's, and (outside
+    smoke mode) it must beat the per-row vectorized loop by ≥5× on the
+    512-row Figure 5 image."""
     rows_a, rows_b = image_rows
 
     batched = BatchedXorEngine(collect_stats=False).diff_rows(rows_a, rows_b)
@@ -137,6 +143,13 @@ def test_batched_image_speedup_and_equivalence(image_rows, results_dir):
         seq = sequential_xor(a, b)
         assert res.result.same_pixels(seq.result), "batched diverged from sequential"
         assert res.iterations == loop_engine.diff(a, b).iterations
+
+    counted = BatchedXorEngine(collect_stats=True).diff_rows(rows_a, rows_b)
+    stats_engine = VectorizedXorEngine(collect_stats=True)
+    for (a, b), res in zip(zip(rows_a, rows_b), counted):
+        ref = stats_engine.diff(a, b)
+        assert res.iterations == ref.iterations
+        assert res.stats.as_dict() == ref.stats.as_dict(), "batched stats diverged"
 
     if SMOKE:
         return

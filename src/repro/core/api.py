@@ -20,7 +20,7 @@ Engines
 ``"batched"``
     The NumPy whole-*image* simulator (:class:`BatchedXorEngine`) —
     every row's register file stepped at once as one masked batch, with
-    per-row early exit via an active-lane mask.  Identical per-row
+    finished rows retired from the kernels.  Identical per-row
     results, iteration counts and stats; the default for
     :func:`image_diff`.
 ``"sequential"``

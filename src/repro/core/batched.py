@@ -21,30 +21,46 @@ State layout
     minimum streams over contiguous memory).  ``end < start`` is the
     empty register, normalized to the same ``(0, -1)`` sentinel as
     :class:`~repro.core.registers.RunRegister` so per-lane snapshots
-    compare directly against the reference machine.
+    compare directly against the reference machine.  Plane rows are
+    *positions*, not lanes: retirement (below) reorders them, and
+    ``_order[p]`` names the lane held in row ``p``.
 ``active``
-    ``(n_rows,)`` boolean mask.  A lane terminates early — all its cells
-    raise ``C`` (Theorem 1) — independently of its batch mates; its mask
-    bit flips off, freezing the lane's registers at their final state
-    while the remaining lanes keep stepping.
+    ``(n_rows,)`` boolean mask, in lane order like every 1-D array here.
+    A lane terminates early — all its cells raise ``C`` (Theorem 1) —
+    independently of its batch mates; its mask bit flips off, freezing
+    the lane's registers at their final state while the remaining lanes
+    keep stepping.
 ``iterations``
     ``(n_rows,)`` per-lane iteration counts, recorded at mask-flip time —
     the quantity Table 1 reports, identical lane-by-lane to what the
     reference machine measures on the same row pair.
 
-Early exit and the column window
---------------------------------
-Stepping a terminated lane is a natural state no-op (nothing to swap,
-move, XOR or shift once ``RegBig`` is empty), so the kernels run
-unmasked and the ``active`` mask only gates bookkeeping (iteration
-counts, the ``busy_cells`` counter).  Columns are windowed: Corollary
-1.1 empties ``RegBig`` left to right while step 3 marches the occupied
-band one cell right per iteration, so the engine tracks the band
-``[lo, hi)`` of columns where *any* lane still holds a ``RegBig`` run
-and slices every kernel to it.  ``RegSmall`` cells left of the band are
-frozen (their occupancy is banked into a running ``busy_cells`` prefix);
-cells right of it still hold their initial load (prefix-summed at load
-time) — so stats stay exact without touching either region.
+Lane retirement and the column window
+-------------------------------------
+Lanes finish at very different iterations, so stepping the whole batch
+to the end would spend most kernel work on frozen lanes.  The kernels
+step only the working rows ``[:m]``.  While more than half of them are
+active, a terminated lane among them costs nothing extra to step (once
+``RegBig`` is empty there is nothing to swap, move, XOR or shift), and
+the ``active`` mask only gates bookkeeping.  When the active lanes fall
+to half the working rows or fewer, the engine *retires* the terminated
+ones: it stable-partitions the four planes so the active lanes form the
+prefix ``[:m]`` (still in lane order), moves ``_order`` along, and
+shrinks ``m``.  Until the first retirement ``m`` is the whole batch and
+the working set is a plain slice.  Per-lane state is never moved; the
+kernels' per-row results are scattered to ``_order[:m]``, and
+:meth:`~BatchedXorEngine.snapshot`, the probe and the error messages
+map positions back to lane numbers.  :meth:`~BatchedXorEngine.diff_rows`
+reads every lane back in one pass over the ``RegSmall`` planes.
+
+Columns are windowed: Corollary 1.1 empties ``RegBig`` left to right
+while step 3 marches the occupied band one cell right per iteration, so
+the engine tracks the band ``[lo, hi)`` of columns where *any* lane
+still holds a ``RegBig`` run and slices every kernel to it.
+``RegSmall`` cells left of the band are frozen (their occupancy is
+banked into a running ``busy_cells`` prefix); cells right of it still
+hold their initial load (prefix-summed at load time) — so stats stay
+exact without touching either region.
 
 Stats are accumulated per lane (axis-1 reductions), so each row's
 :class:`~repro.systolic.stats.ActivityStats` matches the reference
@@ -66,7 +82,7 @@ import numpy as np
 from repro.errors import CapacityError, GeometryError, SystolicError
 from repro.rle.row import RLERow
 from repro.rle.run import Run
-from repro.core.machine import XorRunResult, default_cell_count
+from repro.core.machine import XorRunResult
 from repro.core.xor_cell import CellSnapshot
 from repro.systolic.stats import ActivityStats
 
@@ -92,8 +108,8 @@ class BatchedXorEngine:
     ----------
     n_cells:
         Fixed array size shared by every lane, or ``None`` to size the
-        batch to the widest row pair via
-        :func:`~repro.core.machine.default_cell_count`.
+        batch to the widest row pair (the largest
+        :func:`~repro.core.machine.default_cell_count` of any lane).
     collect_stats:
         Accumulate the reference machine's activity counters per lane
         (a few extra axis-1 reductions per step).
@@ -134,10 +150,12 @@ class BatchedXorEngine:
         self._small_prefix: np.ndarray = np.zeros((0, 1), dtype=np.int64)
         self._lo = 0
         self._hi = 0
+        self._order: np.ndarray = np.zeros(0, dtype=np.int64)
+        self._m = 0
         self._step_count = 0
 
     # ------------------------------------------------------------------ #
-    # Load / extract                                                     #
+    # Load / snapshot                                                    #
     # ------------------------------------------------------------------ #
     def load(self, rows_a: Sequence[RLERow], rows_b: Sequence[RLERow]) -> None:
         """The paper's initial load, for every lane at once: run *i* of
@@ -147,42 +165,26 @@ class BatchedXorEngine:
                 f"batch sides differ: {len(rows_a)} vs {len(rows_b)} rows"
             )
         n_rows = len(rows_a)
-        self.k1 = np.fromiter((r.run_count for r in rows_a), dtype=np.int64, count=n_rows)
-        self.k2 = np.fromiter((r.run_count for r in rows_b), dtype=np.int64, count=n_rows)
-        widest = int(np.maximum(self.k1, self.k2).max()) if n_rows else 0
+        (self.k1, runs_a), (self.k2, runs_b) = self._flatten(rows_a), self._flatten(rows_b)
         if self.n_cells is not None:
             n = self.n_cells
+            widest = int(np.maximum(self.k1, self.k2).max()) if n_rows else 0
             if widest > n:
                 raise CapacityError(
                     f"inputs with up to {widest} runs cannot load into {n} cells"
                 )
         else:
-            # widest lane sizes the shared batch; per Corollary 1.2 no
-            # lane ever occupies a cell past its own k1+k2, so the extra
-            # cells of narrower lanes stay empty throughout
-            n = max(
-                (default_cell_count(int(a), int(b)) for a, b in zip(self.k1, self.k2)),
-                default=1,
-            )
+            # the widest lane sizes the shared batch (default_cell_count);
+            # per Corollary 1.2 no lane ever occupies a cell past its own
+            # k1+k2, so the extra cells of narrower lanes stay empty
+            n = int((self.k1 + self.k2).max()) + 1 if n_rows else 1
         # register coordinates are pixel offsets, so int32 holds any
         # realistic row and halves the memory traffic of every kernel;
         # fall back to int64 for pathological multi-gigapixel rows
-        max_coord = max(
-            (
-                r.runs[-1].end
-                for rows in (rows_a, rows_b)
-                for r in rows
-                if r.run_count
-            ),
-            default=0,
-        )
+        max_coord = max((int(runs[:, 1].max()) for runs in (runs_a, runs_b) if runs.size), default=0)
         dtype = np.int32 if max_coord < 2**31 - 1 else np.int64
-        self.ss = np.zeros((n_rows, n), dtype=dtype)
-        self.se = np.full((n_rows, n), -1, dtype=dtype)
-        self.bs = np.zeros((n_rows, n), dtype=dtype)
-        self.be = np.full((n_rows, n), -1, dtype=dtype)
-        self._bulk_load(self.ss, self.se, rows_a)
-        self._bulk_load(self.bs, self.be, rows_b)
+        self.ss, self.se = self._planes((n_rows, n), dtype, self.k1, runs_a)
+        self.bs, self.be = self._planes((n_rows, n), dtype, self.k2, runs_b)
         # lanes whose RegBig bank is empty at load time are done in 0
         # iterations (every cell already raises C)
         self.active = self.k2 > 0
@@ -193,57 +195,65 @@ class BatchedXorEngine:
             # initial RegSmall occupancy per (lane, column) prefix-summed,
             # so busy_cells can account for the untouched region right of
             # the column window without scanning it
-            occupied = (self.se >= self.ss).astype(np.int64)
             self._small_prefix = np.zeros((n_rows, n + 1), dtype=np.int64)
-            np.cumsum(occupied, axis=1, out=self._small_prefix[:, 1:])
+            np.cumsum(self.se >= self.ss, axis=1, out=self._small_prefix[:, 1:])
         # the column window: every occupied RegBig column lies in [lo, hi)
         self._lo = 0
         self._hi = int(self.k2.max()) if n_rows and self.active.any() else 0
+        self._order = np.arange(n_rows)
+        self._m = n_rows
         self._step_count = 0
 
     @staticmethod
-    def _bulk_load(starts: np.ndarray, ends: np.ndarray, rows: Sequence[RLERow]) -> None:
-        """Scatter every row's runs into its lane with one array build
-        (no per-run Python assignments — the batched load is itself the
-        hot path for low-iteration workloads)."""
+    def _flatten(rows: Sequence[RLERow]) -> Tuple[np.ndarray, np.ndarray]:
+        """One batch side as per-lane run counts and a ``(total, 2)``
+        array of every run's ``(start, end)``, lane after lane (no
+        per-run Python assignments — the batched load is itself the hot
+        path for low-iteration workloads)."""
         counts = np.fromiter((r.run_count for r in rows), dtype=np.int64, count=len(rows))
-        total = int(counts.sum())
-        if total == 0:
-            return
-        flat = np.fromiter(
+        runs = np.fromiter(
             (v for r in rows for run in r.runs for v in (run.start, run.length)),
             dtype=np.int64,
-            count=2 * total,
-        ).reshape(total, 2)
-        lane = np.repeat(np.arange(len(rows)), counts)
-        cell = np.arange(total) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts
-        )
-        starts[lane, cell] = flat[:, 0]
-        ends[lane, cell] = flat[:, 0] + flat[:, 1] - 1
+            count=2 * int(counts.sum()),
+        ).reshape(-1, 2)
+        runs[:, 1] += runs[:, 0] - 1
+        return counts, runs
 
-    def extract(self, row: int, width: Optional[int] = None) -> RLERow:
-        """Read lane ``row``'s XOR out of its ``RegSmall`` bank."""
-        ss, se = self.ss[row], self.se[row]
-        occupied = np.flatnonzero(se >= ss)
-        runs = [Run.from_endpoints(int(ss[i]), int(se[i])) for i in occupied]
-        return RLERow(runs, width=width)
+    @staticmethod
+    def _planes(
+        shape: Tuple[int, int], dtype: type, counts: np.ndarray, runs: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One side's start and end planes: run *i* of each lane in cell
+        *i*, every other register empty."""
+        starts = np.zeros(shape, dtype=dtype)
+        ends = np.full(shape, -1, dtype=dtype)
+        lane = np.repeat(np.arange(shape[0]), counts)
+        cell = np.arange(lane.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        starts[lane, cell] = runs[:, 0]
+        ends[lane, cell] = runs[:, 1]
+        return starts, ends
 
     def snapshot(self, row: int) -> Tuple[CellSnapshot, ...]:
-        """Lane ``row``'s per-cell snapshots in the reference format."""
+        """Lane ``row``'s per-cell snapshots in the reference format
+        (wherever retirement has moved its plane row)."""
+        p = int(np.argsort(self._order)[row])
         return tuple(
-            ((int(self.ss[row, i]), int(self.se[row, i])),
-             (int(self.bs[row, i]), int(self.be[row, i])))
+            ((int(self.ss[p, i]), int(self.se[p, i])),
+             (int(self.bs[p, i]), int(self.be[p, i])))
             for i in range(self.ss.shape[1])
         )
 
-    def stats_for(self, row: int) -> ActivityStats:
-        """Lane ``row``'s activity counters as an :class:`ActivityStats`
-        (zero counters absent, matching the event-driven reference)."""
-        stats = ActivityStats()
-        for name, value in zip(_STAT_NAMES, self._stat_rows[:, row]):
-            stats.bump(name, int(value))
-        return stats
+    def _regsmall_runs(self) -> Tuple[List[int], List[int], List[int]]:
+        """Every lane's ``RegSmall`` bank read back in one pass: the
+        occupied cells' starts and lengths, lane after lane and left to
+        right, and the end offset of each lane's share of them."""
+        at = np.argsort(self._order)  # plane row of each lane
+        occupied = (self.se >= self.ss)[at]
+        lanes, cells = np.nonzero(occupied)
+        rows = at[lanes]
+        starts = self.ss[rows, cells]
+        lengths = self.se[rows, cells] - starts + 1
+        return starts.tolist(), lengths.tolist(), np.cumsum(occupied.sum(axis=1)).tolist()
 
     # ------------------------------------------------------------------ #
     # Stepping                                                           #
@@ -256,17 +266,6 @@ class BatchedXorEngine:
     def batch_cells(self) -> int:
         """Cells per lane actually allocated for this batch."""
         return self.ss.shape[1]
-
-    @property
-    def small(self) -> np.ndarray:
-        """The ``RegSmall`` bank as one ``(n_rows, n_cells, 2)`` array
-        (assembled on demand; the planar planes are the hot state)."""
-        return np.stack((self.ss, self.se), axis=-1)
-
-    @property
-    def big(self) -> np.ndarray:
-        """The ``RegBig`` bank as one ``(n_rows, n_cells, 2)`` array."""
-        return np.stack((self.bs, self.be), axis=-1)
 
     @property
     def is_done(self) -> bool:
@@ -287,11 +286,13 @@ class BatchedXorEngine:
             )
 
         n = self.batch_cells
-        lo, hi = self._lo, self._hi
-        ss = self.ss[:, lo:hi]
-        se = self.se[:, lo:hi]
-        bs = self.bs[:, lo:hi]
-        be = self.be[:, lo:hi]
+        lo, hi, m = self._lo, self._hi, self._m
+        # the lanes of working rows [:m], in lane order either way
+        lanes = self._order[:m] if m < self.n_rows else slice(None)
+        ss = self.ss[:m, lo:hi]
+        se = self.se[:m, lo:hi]
+        bs = self.bs[:m, lo:hi]
+        be = self.be[:m, lo:hi]
         has_s = se >= ss
         has_b = be >= bs
 
@@ -315,8 +316,8 @@ class BatchedXorEngine:
             be[mv] = -1
             has_b = has_b & ~move
         if self.collect_stats:
-            self._stat_rows[0] += swap.sum(axis=1)
-            self._stat_rows[1] += move.sum(axis=1)
+            self._stat_rows[0, lanes] += swap.sum(axis=1)
+            self._stat_rows[1, lanes] += move.sum(axis=1)
 
         # --- step 2: in-cell XOR ------------------------------------ #
         both = (se >= ss) & has_b
@@ -328,7 +329,7 @@ class BatchedXorEngine:
                 changed = both & (
                     (new_se != se) | (new_bs != bs) | (new_be != be)
                 )
-                self._stat_rows[2] += changed.sum(axis=1)
+                self._stat_rows[2, lanes] += changed.sum(axis=1)
             se[:, :] = np.where(both, new_se, se)
             bs[:, :] = np.where(both, new_bs, bs)
             be[:, :] = np.where(both, new_be, be)
@@ -346,21 +347,22 @@ class BatchedXorEngine:
 
         # --- step 3: shift RegBig right ------------------------------ #
         if hi == n and has_b.shape[1] and has_b[:, -1].any():
-            lane = int(np.flatnonzero(has_b[:, -1])[0])
-            datum = (int(bs[lane, -1]), int(be[lane, -1]))
+            # working rows stay in lane order, so the first is the lowest lane
+            p = int(np.flatnonzero(has_b[:, -1])[0])
+            datum = (int(bs[p, -1]), int(be[p, -1]))
             raise CapacityError(
-                f"lane {lane}: datum {datum} shifted past the last cell "
+                f"lane {int(self._order[p])}: datum {datum} shifted past the last cell "
                 f"(batch of {n} cells is too small)"
             )
         if self.collect_stats:
-            self._stat_rows[3] += has_b.sum(axis=1)
+            self._stat_rows[3, lanes] += has_b.sum(axis=1)
         lane_alive = has_b.any(axis=1)
         col_occupied = np.flatnonzero(has_b.any(axis=0))
         shift_hi = min(hi + 1, n)
-        self.bs[:, lo + 1:shift_hi] = self.bs[:, lo:shift_hi - 1]
-        self.be[:, lo + 1:shift_hi] = self.be[:, lo:shift_hi - 1]
-        self.bs[:, lo] = 0
-        self.be[:, lo] = -1
+        self.bs[:m, lo + 1:shift_hi] = self.bs[:m, lo:shift_hi - 1]
+        self.be[:m, lo + 1:shift_hi] = self.be[:m, lo:shift_hi - 1]
+        self.bs[:m, lo] = 0
+        self.be[:m, lo] = -1
 
         self._step_count += 1
         self.iterations[active] = self._step_count
@@ -379,26 +381,35 @@ class BatchedXorEngine:
             #      + live cells inside [lo, shift_hi)
             #      + untouched initial RegSmall cells right of it
             live = (
-                (self.se[:, lo:shift_hi] >= self.ss[:, lo:shift_hi])
-                | (self.be[:, lo:shift_hi] >= self.bs[:, lo:shift_hi])
+                (self.se[:m, lo:shift_hi] >= self.ss[:m, lo:shift_hi])
+                | (self.be[:m, lo:shift_hi] >= self.bs[:m, lo:shift_hi])
             )
             busy = (
-                self._frozen_busy
+                self._frozen_busy[lanes]
                 + live.sum(axis=1)
-                + (self._small_prefix[:, n] - self._small_prefix[:, shift_hi])
+                + (self._small_prefix[lanes, n] - self._small_prefix[lanes, shift_hi])
             )
-            self._stat_rows[4] += busy * active
+            self._stat_rows[4, lanes] += busy * active[lanes]
             # bank the RegSmall occupancy of columns sliding out on the
             # left — no RegBig run can ever reach them again
             if new_lo > lo:
-                self._frozen_busy += (
-                    self.se[:, lo:new_lo] >= self.ss[:, lo:new_lo]
+                self._frozen_busy[lanes] += (
+                    self.se[:m, lo:new_lo] >= self.ss[:m, lo:new_lo]
                 ).sum(axis=1)
 
         # flip the mask on lanes whose RegBig bank just emptied — their
         # iteration count was written above and never advances again
-        self.active = active & lane_alive
+        self.active[lanes] = lane_alive
         self._lo, self._hi = new_lo, new_hi
+        alive = int(np.count_nonzero(lane_alive))
+        if 0 < alive and 2 * alive <= m:
+            # retire: stable-partition the still-active lanes to the
+            # front rows, so later kernels step only rows [:alive]
+            perm = np.argsort(~lane_alive, kind="stable")
+            for plane in (self.ss, self.se, self.bs, self.be):
+                plane[:m] = plane[perm]
+            self._order[:m] = self._order[perm]
+            self._m = alive
 
         if self.probe is not None:
             self._sample_probe()
@@ -416,7 +427,7 @@ class BatchedXorEngine:
         # per-lane Corollary-1.1 front: first column still holding a
         # RegBig run (lanes with an empty bank have front n)
         first_big = np.where(lane_has_big, np.argmax(has_b, axis=1), n)
-        active = self.active
+        active = self.active[self._order]  # in plane-row order
         if active.any():
             mean_front = float(first_big[active].mean())
         else:
@@ -482,20 +493,27 @@ class BatchedXorEngine:
         ``n_cells`` reports the shared batch width)."""
         self.load(rows_a, rows_b)
         self.run(max_iterations=max_iterations)
+        starts, lengths, stops = self._regsmall_runs()
         n = self.batch_cells
         results: List[XorRunResult] = []
-        for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
+        first = 0
+        for ra, rb, stop, iterations, k1, k2, counts in zip(
+            rows_a, rows_b, stops, self.iterations.tolist(), self.k1.tolist(),
+            self.k2.tolist(), self._stat_rows.T.tolist(),
+        ):
             width = ra.width if ra.width is not None else rb.width
             results.append(
                 XorRunResult(
-                    result=self.extract(i, width=width),
-                    iterations=int(self.iterations[i]),
-                    k1=int(self.k1[i]),
-                    k2=int(self.k2[i]),
+                    result=RLERow(map(Run, starts[first:stop], lengths[first:stop]), width=width),
+                    iterations=iterations,
+                    k1=k1,
+                    k2=k2,
                     n_cells=n,
-                    stats=self.stats_for(i),
+                    # zero counters absent, matching the event-driven reference
+                    stats=ActivityStats({k: v for k, v in zip(_STAT_NAMES, counts) if v}),
                 )
             )
+            first = stop
         return results
 
     def diff(

@@ -53,6 +53,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 from repro.rle.row import RLERow
 from repro.rle.run import Run
+from repro.workloads.random_rows import generate_row_pair
+from repro.workloads.spec import BaseRowSpec, ErrorSpec
 
 # --------------------------------------------------------------------- #
 # The paper's worked example (Figure 1 / Figure 3)                       #
@@ -71,6 +73,22 @@ def paper_rows() -> Tuple[RLERow, RLERow, RLERow]:
         RLERow.from_pairs(PAPER_ROW_2, width=PAPER_WIDTH),
         RLERow.from_pairs(PAPER_XOR, width=PAPER_WIDTH),
     )
+
+
+def spread_batch(n_lanes: int = 64, width: int = 256) -> Tuple[List[RLERow], List[RLERow]]:
+    """A seeded Section 5 batch whose lanes terminate at widely spread
+    iterations (1 to 15 at the defaults): error fractions cycle from 1 %
+    to 20 %, so the batched engine's active lanes halve several times
+    before the batch drains."""
+    base = BaseRowSpec(width=width, run_length=(4, 20), density=0.3)
+    fractions = (0.01, 0.02, 0.05, 0.1, 0.2)
+    rows_a, rows_b = [], []
+    for lane in range(n_lanes):
+        errors = ErrorSpec(run_length=(2, 6), fraction=fractions[lane % 5])
+        row_a, row_b, _mask = generate_row_pair(base, errors, seed=700 + lane)
+        rows_a.append(row_a)
+        rows_b.append(row_b)
+    return rows_a, rows_b
 
 
 # --------------------------------------------------------------------- #

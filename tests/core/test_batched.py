@@ -30,7 +30,14 @@ from repro.core.machine import SystolicXorMachine, default_cell_count
 from repro.core.options import DiffOptions
 from repro.core.pipeline import diff_images
 from repro.core.vectorized import VectorizedXorEngine
-from tests.conftest import PAPER_ROW_1, PAPER_ROW_2, PAPER_XOR, PAPER_WIDTH
+from repro.obs.profile import EngineProfiler
+from tests.conftest import (
+    PAPER_ROW_1,
+    PAPER_ROW_2,
+    PAPER_XOR,
+    PAPER_WIDTH,
+    spread_batch,
+)
 
 
 def random_batch(seed, n_rows=24, width=120, density_a=0.3, density_b=0.3):
@@ -139,7 +146,8 @@ class TestStateByState:
                 check_corollary_1_2(snap, int(batch.k1[i]), int(batch.k2[i]))
         for i, (a, b) in enumerate(zip(rows_a, rows_b)):
             check_theorem_1(int(batch.iterations[i]), a.run_count, b.run_count)
-            check_theorem_3(batch.extract(i, width=a.width), a, b)
+            regsmall = [s for s, _ in batch.snapshot(i) if s[1] >= s[0]]
+            check_theorem_3(RLERow.from_endpoints(regsmall, width=a.width), a, b)
 
     def test_mixed_lane_freeze(self):
         """A lane that terminates early freezes while batch mates keep
@@ -160,6 +168,69 @@ class TestStateByState:
         assert results[0].result == ref_quick.result
         assert results[1].result == ref_slow.result
         assert results[0].stats.as_dict() == ref_quick.stats.as_dict()
+
+
+class TestRetirement:
+    """Once half the working lanes have terminated, the engine moves the
+    still-active lanes to the front rows and steps only those.  Lane
+    numbers must survive the reordering everywhere a caller sees them."""
+
+    def test_spread_batch_retires_several_times(self):
+        """The batch the tests below use halves its active lanes (the
+        retirement trigger) at least three times before it drains."""
+        rows_a, rows_b = spread_batch()
+        probe = EngineProfiler()
+        BatchedXorEngine(probe=probe).diff_rows(rows_a, rows_b)
+        working, retirements = len(rows_a), 0
+        for sample in probe.samples:
+            if 0 < 2 * sample.active_lanes <= working:
+                working, retirements = sample.active_lanes, retirements + 1
+        assert retirements >= 3
+
+    def test_snapshots_and_iterations_every_iteration(self):
+        rows_a, rows_b = spread_batch()
+        batch = BatchedXorEngine()
+        batch.load(rows_a, rows_b)
+        singles = []
+        for a, b in zip(rows_a, rows_b):
+            single = VectorizedXorEngine(n_cells=batch.batch_cells)
+            single.load(a, b)
+            singles.append(single)
+        while not batch.is_done:
+            batch.step()
+            for i, single in enumerate(singles):
+                if not single.is_done:
+                    single.step()
+                assert batch.snapshot(i) == single.snapshot()
+                assert int(batch.iterations[i]) == single.iterations
+
+    @pytest.mark.parametrize("collect_stats", [True, False])
+    def test_results_match_reference_per_lane(self, collect_stats):
+        rows_a, rows_b = spread_batch()
+        results = BatchedXorEngine(collect_stats=collect_stats).diff_rows(
+            rows_a, rows_b
+        )
+        machine = SystolicXorMachine()
+        for a, b, res in zip(rows_a, rows_b, results):
+            ref = machine.diff(a, b)
+            assert res.result == ref.result
+            assert res.iterations == ref.iterations
+            expected = ref.stats.as_dict() if collect_stats else {}
+            assert res.stats.as_dict() == expected
+
+    def test_capacity_error_names_the_overflowing_lane(self):
+        """Lane 6 overflows its 5 cells after the other nine lanes have
+        terminated and been retired behind it."""
+        same = RLERow.from_pairs([(0, 2)], width=64)
+        wide_a = RLERow.from_pairs([(40, 2), (44, 2), (48, 2), (52, 2)], width=64)
+        wide_b = RLERow.from_pairs([(0, 2), (4, 2), (8, 2), (12, 2)], width=64)
+        rows_a = [same] * 6 + [wide_a] + [same] * 3
+        rows_b = [same] * 6 + [wide_b] + [same] * 3
+        with pytest.raises(
+            CapacityError,
+            match=r"^lane 6: datum \(52, 53\) shifted past the last cell",
+        ):
+            BatchedXorEngine(n_cells=5).diff_rows(rows_a, rows_b)
 
 
 class TestGuards:

@@ -13,6 +13,7 @@ from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.batched import BatchedXorEngine
 from repro.core.vectorized import VectorizedXorEngine
+from tests.conftest import spread_batch
 
 
 def images(seed=0, h=8, w=96):
@@ -92,6 +93,40 @@ class TestBatchedProbe:
         )
         assert [r.result for r in probed] == [r.result for r in plain]
         assert [r.iterations for r in probed] == [r.iterations for r in plain]
+
+
+    def test_samples_pinned_on_spread_batch(self):
+        """Every sample of a 64-lane batch whose active lanes halve
+        several times, pinned to the values of the engine that stepped
+        every lane to the end: reordering lanes must not move them."""
+        rows_a, rows_b = spread_batch()
+        probe = EngineProfiler()
+        BatchedXorEngine(probe=probe).diff_rows(rows_a, rows_b)
+        # (active_lanes, busy_cells, empty_prefix, empty_prefix_mean)
+        expected = [
+            (51, 478, 1, 121 / 51),
+            (39, 395, 2, 153 / 39),
+            (33, 362, 3, 175 / 33),
+            (25, 342, 4, 162 / 25),
+            (21, 330, 6, 161 / 21),
+            (15, 314, 7, 132 / 15),
+            (14, 312, 8, 142 / 14),
+            (13, 310, 9, 149 / 13),
+            (12, 303, 11, 152 / 12),
+            (9, 303, 12, 128 / 9),
+            (3, 299, 13, 44 / 3),
+            (2, 298, 14, 31 / 2),
+            (1, 298, 15, 15.0),
+            (1, 298, 17, 17.0),
+            (0, 298, 27, 27.0),
+        ]
+        got = [
+            (s.active_lanes, s.busy_cells, s.empty_prefix, s.empty_prefix_mean)
+            for s in probe.samples
+        ]
+        assert [g[:3] for g in got] == [e[:3] for e in expected]
+        assert [g[3] for g in got] == pytest.approx([e[3] for e in expected])
+        assert [s.step for s in probe.samples] == list(range(1, 16))
 
 
 class TestVectorizedProbe:
