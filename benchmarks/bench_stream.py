@@ -21,10 +21,11 @@ the byte counts are what a TCP client would actually put on the socket:
   to the source clip.
 - **adaptive rekey** (gated): the motion clip must trigger at least one
   density-driven keyframe rekey.
-- **wall-clock** (reported, not gated): streaming does strictly more
-  in-process compute than the baseline (the same diff plus the chain
-  append), so its win is wire bytes, not local CPU; the timing numbers
-  are recorded so the trend gate catches pathological slowdowns.
+- **wall-clock** (reported, not gated): streaming does the same diff
+  as the baseline plus O(1) session bookkeeping (a few counters; the
+  sent frame becomes the tail as-is), so its win is wire bytes, not
+  local CPU; the timing numbers are recorded so the trend gate catches
+  pathological slowdowns.
 
 Outputs ``results/stream.txt`` and ``results/stream.json`` (diffed by
 ``make bench-trend``).  Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks

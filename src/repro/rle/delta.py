@@ -9,10 +9,11 @@ paper's Theorem 3 argument) makes random access a prefix XOR.
 
 :class:`DeltaSequence` stores a key frame plus per-frame delta images,
 entirely in RLE, with size accounting so the compression win is
-measurable.  It is also the chain store of the streaming tier
-(:mod:`repro.service.stream`): sessions append one delta per incoming
-frame and periodically :meth:`rekey` so random access and memory stay
-bounded.
+measurable.  It is the library form of a recording, for callers that
+want random access into one; the streaming tier
+(:mod:`repro.service.stream`) keeps no chain server-side — a session
+holds only its tail frame and run counters, and clients decode by
+folding the deltas they were sent.
 """
 
 from __future__ import annotations
@@ -70,9 +71,8 @@ class DeltaSequence:
         ]
         self._raw_runs = sum(f.total_runs for f in frames)
         # The decoded tail frame, cached so append is one XOR instead of
-        # a prefix fold over the whole chain (the streaming tier appends
-        # per incoming frame, so O(t) appends would make a session
-        # quadratic in its own length).
+        # a prefix fold over the whole chain (O(t) appends would make
+        # building a t-frame recording quadratic in its length).
         self._tail: RLEImage = frames[-1]
 
     # ------------------------------------------------------------------ #
@@ -149,11 +149,11 @@ class DeltaSequence:
     def append_delta(self, delta: RLEImage) -> RLEImage:
         """Extend the sequence by one *already-computed* delta.
 
-        The streaming tier computes frame deltas through the cached
-        service layer (so keyframe rows stay cache-hot); this appends
-        that result without re-XORing.  Returns the decoded new tail
-        frame (``previous tail XOR delta``), which the caller typically
-        needs anyway for the next diff.
+        For a caller that computed the delta elsewhere (for instance
+        the deltas a stream session shipped, or a diff through the
+        cached service layer); this appends it without re-diffing.
+        Returns the decoded new tail frame (``previous tail XOR
+        delta``).
         """
         if delta.shape != self.shape:
             raise GeometryError(

@@ -10,6 +10,7 @@ overlap").  Adjacent runs *are* permitted — such a row is valid but not
 
 from __future__ import annotations
 
+import struct
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
@@ -47,7 +48,7 @@ class RLERow:
         bitmap conversion) need no explicit width argument.
     """
 
-    __slots__ = ("_runs", "_width")
+    __slots__ = ("_runs", "_width", "_packed")
 
     def __init__(
         self,
@@ -65,6 +66,7 @@ class RLERow:
                 )
         self._runs = coerced
         self._width = width
+        self._packed: Optional[bytes] = None
 
     # ------------------------------------------------------------------ #
     # Constructors                                                       #
@@ -118,6 +120,31 @@ class RLERow:
     @property
     def width(self) -> Optional[int]:
         return self._width
+
+    @property
+    def packed(self) -> bytes:
+        """The row as little-endian int64
+        ``[width or -1, start0, length0, start1, length1, ...]``.
+
+        Two rows pack equal iff they are structurally identical (same
+        runs, same declared width — ``None`` is distinguished from every
+        concrete width); :mod:`repro.service.cache` keys, compares and
+        stores rows by these bytes.  Packed in O(k) on first use and
+        kept on the row (rows are immutable), so every later read is an
+        attribute read.
+        """
+        try:
+            packed = self._packed
+        except AttributeError:  # a row built without __init__
+            packed = None
+        if packed is None:
+            flat = [-1 if self._width is None else self._width]
+            for run in self._runs:
+                flat.append(run.start)
+                flat.append(run.length)
+            packed = struct.pack(f"<{len(flat)}q", *flat)
+            self._packed = packed
+        return packed
 
     @property
     def run_count(self) -> int:

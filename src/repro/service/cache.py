@@ -93,21 +93,18 @@ _RUN_BYTES = 96
 
 
 def pack_row(row: RLERow) -> bytes:
-    """The cache tier's one form of a row: little-endian int64
+    """The cache tier's one form of a row: :attr:`RLERow.packed
+    <repro.rle.row.RLERow.packed>`, little-endian int64
     ``[width or -1, start0, length0, start1, length1, ...]``.
 
-    Two rows pack equal iff they are structurally identical (same runs,
-    same declared width — ``None`` is distinguished from every concrete
-    width), so fingerprints, collision checks, in-batch coalescing and
-    disk entries all work on these bytes.  O(k) in the run count: this
-    is the "compressed rows are cheap to key" dividend the service
-    layer is built on.
+    Two rows pack equal iff they are structurally identical, so
+    fingerprints, collision checks, in-batch coalescing and disk entries
+    all work on these bytes.  The packing is cached on the row: the first
+    call is O(k) in the run count, every later one an attribute read —
+    one lookup, a miss's store, or the next frame's diff against the
+    same tail never packs a row twice.
     """
-    flat = [-1 if row.width is None else row.width]
-    for run in row.runs:
-        flat.append(run.start)
-        flat.append(run.length)
-    return struct.pack(f"<{len(flat)}q", *flat)
+    return row.packed
 
 
 def unpack_row(data: bytes) -> RLERow:

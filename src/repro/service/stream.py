@@ -8,9 +8,12 @@ server keeps the previous frame resident (its rows hot in the
 content-addressed :class:`~repro.service.cache.DiffCache`), the client
 ships only the newest frame, and the reply is the tiny XOR delta.  The
 paper's decompression-free XOR is exactly this change detector, and the
-delta chain it produces (:class:`~repro.rle.delta.DeltaSequence`) *is*
-the compressed recording: key frame + deltas, random access by prefix
-XOR (Theorem 3 associativity), never a decompressed bitmap between hops.
+deltas it ships *are* the compressed recording: the client decodes by
+XOR-folding them from the key frame (Theorem 3 associativity), never a
+decompressed bitmap between hops.  The server keeps no chain: a session
+is the last frame sent, the key frame's run count and counters, so a
+frame's cost is its diff plus a few counter updates, however long the
+session runs (see :class:`StreamSession`).
 
 :class:`StreamingDiffService` manages the sessions:
 
@@ -22,9 +25,9 @@ XOR (Theorem 3 associativity), never a decompressed bitmap between hops.
   ``stream_frame`` with the same typed
   :class:`~repro.errors.ServiceOverloadError` as any other op;
 * key frames are picked **adaptively from measured diff density**: when
-  the runs accumulated in the chain since the last key exceed
+  the delta runs accumulated since the last key exceed
   ``rekey_ratio`` times the key frame's own runs (or the chain hits
-  ``max_chain``), the session rekeys on the newest frame — static
+  ``max_chain`` frames), the session rekeys on the newest frame — static
   scenes keep one key forever, a scene cut rekeys immediately;
 * accounting lands in the ``repro_stream_*`` metric families and the
   structured log (``stream_opened`` / ``stream_rekey`` /
@@ -45,14 +48,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     GeometryError,
     ServiceError,
     UnknownSessionError,
 )
-from repro.rle.delta import DeltaSequence
 from repro.rle.image import RLEImage
 from repro.obs.context import new_request_id
 from repro.service.resilience import ResilientDiffService
@@ -88,12 +90,13 @@ class StreamPolicy:
     """When a session replaces its key frame, as one frozen value.
 
     The decision input is *measured diff density*: every appended delta
-    adds its run count to the chain's total, and the chain rekeys when
-    that total crosses ``rekey_ratio`` times the current key frame's
-    run count.  A static scene (deltas near zero runs) never rekeys; a
-    scene cut (delta as big as the frame) rekeys on the spot.
-    ``max_chain`` bounds chain length regardless, so prefix-XOR random
-    access and replay-from-key stay O(``max_chain``).
+    adds its run count to a running total since the last key, and the
+    session rekeys when that total crosses ``rekey_ratio`` times the
+    current key frame's run count.  A static scene (deltas near zero
+    runs) never rekeys; a scene cut (delta as big as the frame) rekeys
+    on the spot.  ``max_chain`` bounds the frames per key regardless, so
+    a subscriber replaying from the last key folds at most
+    ``max_chain`` deltas.
     """
 
     #: Rekey when ``delta runs since key > rekey_ratio * key runs``.
@@ -119,7 +122,7 @@ class FrameDelta:
     ``delta`` is what crosses the wire back to the caller: the full
     frame for the opening key frame (``frame_index`` 0), the XOR delta
     against the previous frame otherwise.  ``rekeyed`` reports that the
-    *server-side chain* replaced its key frame with this frame — the
+    session replaced its key frame with this frame — the
     client's decode is unaffected (deltas always chain frame-to-frame),
     but a subscriber joining now would start from this key.
     """
@@ -133,125 +136,137 @@ class FrameDelta:
     key_runs: int
 
 
-class StreamSession:
-    """One client's delta chain: key frame, deltas, and rekey state.
+def _canonical_runs(image: RLEImage) -> int:
+    """Runs in ``image`` once adjacent runs are merged: the run count of
+    the frame as the client decodes it (an XOR fold is always
+    canonical), which is what a rekey keys the policy on."""
+    return sum(row.canonical().run_count for row in image)
 
-    All mutation happens under the instance lock — the TCP executor may
-    dispatch two ``stream_frame`` requests for the same session from
-    different threads, and the chain append + rekey decision must be
-    atomic per frame.
+
+class StreamSession:
+    """One client's stream: its tail, its key frame's run count, and
+    counters.
+
+    The tail is the frame the client last sent — the delta shipped for
+    it is ``previous tail XOR frame``, so the client's XOR fold lands on
+    exactly this frame and the server never needs to rebuild it.  The
+    rekey policy needs only run counts, so no delta image is kept: a
+    rekey is "key := tail" plus a counter reset, nothing is re-folded,
+    and a session's memory is one frame whatever its length.
+
+    Two locks: ``_append_lock`` serializes whole appends (tail read →
+    diff → record) so concurrent frames of one session chain one after
+    the other — the TCP executor may dispatch two ``stream_frame``
+    requests for the same session from different threads — and
+    ``_lock`` guards the state itself, so :meth:`stats` never waits on
+    a diff.  Lock order is always ``_append_lock`` then ``_lock``.
     """
 
     def __init__(self, session_id: str, policy: StreamPolicy) -> None:
         self.session_id = session_id
         self.policy = policy
+        self._append_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._sequence: Optional[DeltaSequence] = None
+        self._tail: Optional[RLEImage] = None
+        self._key_runs = 0
+        self._deltas_since_key = 0
+        self._delta_runs_since_key = 0
         self._frames = 0
         self._rekeys = 0
         self._raw_runs = 0
         self._shipped_runs = 0
-        self._delta_runs_since_key = 0
 
     # ------------------------------------------------------------------ #
     @property
     def tail(self) -> Optional[RLEImage]:
-        """The most recent decoded frame (``None`` before any frame)."""
+        """The most recent frame (``None`` before any frame)."""
         with self._lock:
-            if self._sequence is None:
-                return None
-            return self._sequence.frame(len(self._sequence) - 1)
-
-    def frame(self, t: int) -> RLEImage:
-        """Random access into the *current chain* (prefix XOR from the
-        key frame); ``t`` counts from the current key, not from the
-        session's first frame."""
-        with self._lock:
-            if self._sequence is None:
-                raise UnknownSessionError(
-                    f"session {self.session_id!r} holds no frames yet"
-                )
-            return self._sequence.frame(t)
+            return self._tail
 
     def chain_len(self) -> int:
+        """Frames since (and including) the current key frame."""
         with self._lock:
-            return 0 if self._sequence is None else len(self._sequence)
+            return 0 if self._tail is None else self._deltas_since_key + 1
 
     # ------------------------------------------------------------------ #
-    def open_key(self, frame: RLEImage) -> FrameDelta:
-        """Record the opening frame (it is its own key and its own
-        shipped payload)."""
-        with self._lock:
-            if self._sequence is not None:
-                raise ServiceError(
-                    f"session {self.session_id!r} already holds a key frame"
+    def append(
+        self,
+        frame: RLEImage,
+        diff: Callable[[RLEImage, RLEImage], RLEImage],
+    ) -> FrameDelta:
+        """Append one frame and apply the rekey policy.
+
+        The opening frame is its own key and its own shipped payload;
+        every later one ships ``diff(tail, frame)``.  Appends to one
+        session run one at a time, so frame ``i``'s delta is always
+        taken against frame ``i - 1``.
+        """
+        with self._append_lock:
+            tail = self.tail
+            if tail is None:
+                return self._open_key(frame)
+            if frame.shape != tail.shape:
+                raise GeometryError(
+                    f"frame shape {frame.shape} != session shape {tail.shape}"
                 )
-            self._sequence = DeltaSequence([frame])
+            return self._append_delta(frame, diff(tail, frame))
+
+    def _open_key(self, frame: RLEImage) -> FrameDelta:
+        runs = frame.total_runs
+        with self._lock:
+            self._tail = frame
+            self._key_runs = runs
             self._frames = 1
-            self._raw_runs = frame.total_runs
-            self._shipped_runs = frame.total_runs
-            self._delta_runs_since_key = 0
+            self._raw_runs = runs
+            self._shipped_runs = runs
             return FrameDelta(
                 frame_index=0,
                 delta=frame,
                 rekeyed=True,
-                delta_runs=frame.total_runs,
-                key_runs=frame.total_runs,
+                delta_runs=runs,
+                key_runs=runs,
             )
 
-    def append_delta(self, frame: RLEImage, delta: RLEImage) -> FrameDelta:
-        """Append one computed delta and apply the rekey policy.
-
-        ``frame`` is the decoded new tail (the caller already holds it
-        — it *sent* it); ``delta`` is the XOR against the previous
-        tail.  Returns the :class:`FrameDelta` describing the append.
-        """
+    def _append_delta(self, frame: RLEImage, delta: RLEImage) -> FrameDelta:
+        frame_runs = frame.total_runs
+        delta_runs = delta.total_runs
         with self._lock:
-            if self._sequence is None:
-                raise ServiceError(
-                    f"session {self.session_id!r} has no key frame yet"
-                )
-            self._sequence.append_delta(delta)
             index = self._frames
             self._frames += 1
-            self._raw_runs += frame.total_runs
-            self._shipped_runs += delta.total_runs
-            self._delta_runs_since_key += delta.total_runs
-            key_runs = self._sequence.key.total_runs
+            self._raw_runs += frame_runs
+            self._shipped_runs += delta_runs
+            self._delta_runs_since_key += delta_runs
+            self._deltas_since_key += 1
+            self._tail = frame
             rekeyed = (
                 self._delta_runs_since_key
-                > self.policy.rekey_ratio * key_runs
-                or len(self._sequence) > self.policy.max_chain
+                > self.policy.rekey_ratio * self._key_runs
+                or self._deltas_since_key + 1 > self.policy.max_chain
             )
             if rekeyed:
-                self._sequence = self._sequence.rekey(
-                    len(self._sequence) - 1
-                )
-                self._rekeys += 1
+                self._key_runs = _canonical_runs(frame)
+                self._deltas_since_key = 0
                 self._delta_runs_since_key = 0
-                key_runs = self._sequence.key.total_runs
+                self._rekeys += 1
             return FrameDelta(
                 frame_index=index,
                 delta=delta,
                 rekeyed=rekeyed,
-                delta_runs=delta.total_runs,
-                key_runs=key_runs,
+                delta_runs=delta_runs,
+                key_runs=self._key_runs,
             )
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, float]:
         """Counters as plain floats (wire- and JSON-safe)."""
         with self._lock:
-            chain = 0 if self._sequence is None else len(self._sequence)
-            key_runs = (
-                0 if self._sequence is None else self._sequence.key.total_runs
-            )
+            chain = 0 if self._tail is None else self._deltas_since_key + 1
             shipped = self._shipped_runs
             return {
                 "frames": float(self._frames),
                 "rekeys": float(self._rekeys),
                 "chain_len": float(chain),
-                "key_runs": float(key_runs),
+                "key_runs": float(self._key_runs),
                 "raw_runs": float(self._raw_runs),
                 "shipped_runs": float(shipped),
                 "delta_runs_since_key": float(self._delta_runs_since_key),
@@ -437,22 +452,20 @@ class StreamingDiffService:
         The delta is computed through the backend
         (``diff_images(tail, frame)``) so the session's resident rows
         hit the content-addressed cache and every resilience policy
-        applies; the chain append plus rekey decision then run
-        atomically inside the session.  ``request_id`` stamps the
-        backend's log events — the sharded tier passes the per-request
-        context id whose ``parent_id`` is this session's id.
+        applies.  The tail read, diff and rekey decision run as one
+        step per session (:meth:`StreamSession.append`), so concurrent
+        frames of one session chain in ``frame_index`` order.
+        ``request_id`` stamps the backend's log events — the sharded
+        tier passes the per-request context id whose ``parent_id`` is
+        this session's id.
         """
         session = self._session(session_id)
-        tail = session.tail
-        if tail is None:
-            result = session.open_key(frame)
-        else:
-            if frame.shape != tail.shape:
-                raise GeometryError(
-                    f"frame shape {frame.shape} != session shape {tail.shape}"
-                )
-            diff = self._backend.diff_images(tail, frame, request_id=request_id)
-            result = session.append_delta(frame, diff.image)
+        result = session.append(
+            frame,
+            lambda tail, new: self._backend.diff_images(
+                tail, new, request_id=request_id
+            ).image,
+        )
         if self._metrics is not None:
             self._m_frames.inc()
             self._m_raw_runs.inc(float(frame.total_runs))
@@ -472,10 +485,6 @@ class StreamingDiffService:
                 key_runs=result.key_runs,
             )
         return result
-
-    def frame(self, session_id: str, t: int) -> RLEImage:
-        """Random access into a session's current chain (prefix XOR)."""
-        return self._session(session_id).frame(t)
 
     # ------------------------------------------------------------------ #
     # Introspection                                                      #

@@ -1,13 +1,18 @@
-"""DiffCache: hits, eviction under pressure, collision safety, metrics."""
+"""DiffCache: hits, eviction under pressure, collision safety, metrics,
+and the packed row form cached on each row."""
+
+import struct
+from types import SimpleNamespace
 
 import pytest
 
+import repro.rle.row as row_module
 from repro.errors import ServiceError
 from repro.rle.row import RLERow
 from repro.core.api import row_diff
 from repro.core.options import DiffOptions
 from repro.obs.metrics import MetricsRegistry
-from repro.service.cache import DiffCache, row_fingerprint
+from repro.service.cache import DiffCache, pack_row, row_fingerprint
 
 OPTS = DiffOptions(engine="systolic")
 
@@ -58,6 +63,56 @@ class TestFingerprint:
         for pairs, width, digest in cases:
             row = RLERow.from_pairs(pairs, width=width)
             assert row_fingerprint(row).hex() == digest
+
+
+def fresh_pack(pairs, width):
+    """The packed form written out longhand with ``struct``."""
+    flat = [-1 if width is None else width]
+    for start, length in pairs:
+        flat += [start, length]
+    return struct.pack(f"<{len(flat)}q", *flat)
+
+
+@pytest.fixture()
+def pack_calls(monkeypatch):
+    """Every ``struct.pack`` the row module makes from here on."""
+    calls = []
+
+    def counting_pack(fmt, *values):
+        calls.append(fmt)
+        return struct.pack(fmt, *values)
+
+    monkeypatch.setattr(row_module, "struct", SimpleNamespace(pack=counting_pack))
+    return calls
+
+
+class TestPackedSlot:
+    @pytest.mark.parametrize(
+        "pairs, width",
+        [([(2, 3), (8, 2)], 24), ([(0, 1), (5, 7)], None), ([], 16), ([], None)],
+    )
+    def test_packed_once_and_equal_to_fresh_packing(self, pairs, width):
+        row = RLERow.from_pairs(pairs, width=width)
+        assert pack_row(row) is pack_row(row)
+        assert pack_row(row) == fresh_pack(pairs, width)
+
+    def test_hit_packs_no_row_again(self, pack_calls):
+        cache = DiffCache()
+        a, b = make_row(1), make_row(4)
+        result = compute(a, b)
+        cache.store(a, b, OPTS, result)
+        assert len(pack_calls) == 2  # a miss's put packs each row once
+        assert cache.lookup(a, b, OPTS) is result
+        assert cache.lookup(a, b, OPTS) is result
+        assert len(pack_calls) == 2
+
+    def test_miss_packs_each_row_once(self, pack_calls):
+        cache = DiffCache()
+        a, b = make_row(1), make_row(4)
+        key = cache.key_for(a, b, OPTS)
+        assert cache.get(key, a, b) is None
+        cache.put(key, a, b, compute(a, b))
+        assert len(pack_calls) == 2
 
 
 class TestHitMiss:

@@ -8,14 +8,22 @@ sessions"):
   service, so caching and every resilience policy shape the stream;
 - the client decodes by prefix XOR over the shipped deltas and must
   recover every source frame pixel-exactly — under chaos too;
-- key frames are replaced adaptively from measured diff density;
+- key frames are replaced adaptively from measured diff density, with
+  the same decisions a literal key-frame + delta chain would make;
+- concurrent frames of one session chain in ``frame_index`` order;
 - unknown/closed sessions and duplicate opens are typed errors.
 """
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+import repro.rle.delta as delta_module
+import repro.rle.ops2d as ops2d
 
 from repro.errors import (
     GeometryError,
@@ -26,6 +34,7 @@ from repro.errors import (
 from repro.core.options import DiffOptions
 from repro.obs.log import StructuredLog
 from repro.obs.metrics import MetricsRegistry
+from repro.rle.delta import DeltaSequence
 from repro.rle.image import RLEImage
 from repro.rle.ops2d import xor_images
 from repro.service import (
@@ -62,6 +71,13 @@ def backend():
         yield service
 
 
+@pytest.fixture(scope="module")
+def shared_backend():
+    """One backend for every hypothesis example of a test."""
+    with DiffService(OPTS, **FAST) as service:
+        yield service
+
+
 def decode_stream(deltas):
     """Client-side reconstruction: prefix XOR over shipped deltas."""
     frames = []
@@ -70,6 +86,123 @@ def decode_stream(deltas):
             fd.delta if not frames else xor_images(frames[-1], fd.delta)
         )
     return frames
+
+
+_H, _W = 4, 20
+
+#: One frame-sequence step: repeat the last frame, blank the scene,
+#: re-send the last frame's pixels as adjacent (non-canonical) runs, or
+#: cut to a new scene given as one bit word per row.
+STEPS = st.lists(
+    st.one_of(
+        st.sampled_from(["same", "blank", "split"]),
+        st.lists(st.integers(0, 2**_W - 1), min_size=_H, max_size=_H),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+POLICIES = st.builds(
+    StreamPolicy,
+    rekey_ratio=st.floats(0.05, 3.0),
+    max_chain=st.integers(1, 6),
+)
+
+
+def split_runs(image):
+    """The same pixels with every run longer than 1 cut in two adjacent runs."""
+    rows = []
+    for row in image:
+        pairs = []
+        for start, length in row.to_pairs():
+            if length > 1:
+                pairs += [(start, 1), (start + 1, length - 1)]
+            else:
+                pairs.append((start, length))
+        rows.append(pairs)
+    return RLEImage.from_row_pairs(rows, width=image.width)
+
+
+def frame_sequence(steps):
+    frames = []
+    for step in steps:
+        if step == "blank" or (isinstance(step, str) and not frames):
+            frames.append(RLEImage.blank(_H, _W))
+        elif step == "same":
+            frames.append(frames[-1])
+        elif step == "split":
+            frames.append(split_runs(frames[-1]))
+        else:
+            bits = [[(word >> c) & 1 for c in range(_W)] for word in step]
+            frames.append(RLEImage.from_array(np.array(bits, dtype=bool)))
+    return frames
+
+
+class ChainModel:
+    """The rekey policy over a literal :class:`DeltaSequence` chain: every
+    delta stored, every rekey a fold to the tail."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.chain = None
+        self.rekeys = 0
+        self.runs_since_key = 0
+
+    def append(self, frame, delta):
+        """Returns ``(rekeyed, key_runs)`` for one appended frame."""
+        if self.chain is None:
+            self.chain = DeltaSequence([frame])
+            return True, frame.total_runs
+        self.chain.append_delta(delta)
+        self.runs_since_key += delta.total_runs
+        rekeyed = (
+            self.runs_since_key
+            > self.policy.rekey_ratio * self.chain.key.total_runs
+            or len(self.chain) > self.policy.max_chain
+        )
+        if rekeyed:
+            self.chain = self.chain.rekey(len(self.chain) - 1)
+            self.rekeys += 1
+            self.runs_since_key = 0
+        return rekeyed, self.chain.key.total_runs
+
+
+class SlowBackend:
+    """A backend whose diffs take ``delay`` seconds, so appends to one
+    session from several threads overlap."""
+
+    def __init__(self, inner, delay=0.01):
+        self.inner = inner
+        self.delay = delay
+
+    def diff_images(self, image_a, image_b, request_id=None):
+        time.sleep(self.delay)
+        return self.inner.diff_images(image_a, image_b, request_id=request_id)
+
+
+def append_concurrently(streams, sid, frames):
+    """Append each frame from its own thread, all released at once;
+    returns the :class:`FrameDelta` each frame received."""
+    barrier = threading.Barrier(len(frames))
+    received = [None] * len(frames)
+    errors = []
+
+    def send(i):
+        barrier.wait()
+        try:
+            received[i] = streams.append_frame(sid, frames[i])
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=send, args=(i,)) for i in range(len(frames))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    return received
 
 
 class TestSessionLifecycle:
@@ -151,17 +284,27 @@ class TestDeltaChain:
         assert stats["compression_ratio"] > 1.5
         assert stats["shipped_runs"] < stats["raw_runs"]
 
-    def test_random_access_into_chain(self, backend, clip):
-        streams = StreamingDiffService(backend, policy=StreamPolicy())
+    @given(data=st.data())
+    def test_session_matches_chain_reference_model(self, shared_backend, data):
+        """The session keeps only run counts and the tail, yet folds and
+        rekeys exactly as a literal key-frame + delta chain would."""
+        policy = data.draw(POLICIES, label="policy")
+        frames = frame_sequence(data.draw(STEPS, label="steps"))
+        streams = StreamingDiffService(shared_backend, policy=policy)
         sid = streams.open()
-        for frame in clip[:4]:
-            streams.append_frame(sid, frame)
-        # no rekey yet on such a short static-ish prefix => chain index
-        # t counts from the session's first frame
-        chain_len = int(streams.session_stats(sid)["chain_len"])
-        for t in range(chain_len):
-            offset = 4 - chain_len
-            assert streams.frame(sid, t).same_pixels(clip[offset + t])
+        model = ChainModel(policy)
+        deltas = []
+        for frame in frames:
+            fd = streams.append_frame(sid, frame)
+            deltas.append(fd)
+            rekeyed, key_runs = model.append(frame, fd.delta)
+            assert (fd.rekeyed, fd.key_runs) == (rekeyed, key_runs)
+            stats = streams.session_stats(sid)
+            assert stats["rekeys"] == model.rekeys
+            assert stats["chain_len"] == len(model.chain)
+            assert stats["key_runs"] == key_runs
+        for t, (got, want) in enumerate(zip(decode_stream(deltas), frames)):
+            assert got.same_pixels(want), f"frame {t}"
 
     def test_shape_mismatch_is_geometry_error(self, backend, clip):
         streams = StreamingDiffService(backend)
@@ -238,6 +381,53 @@ class TestAdaptiveRekey:
         assert sum(fd.rekeyed for fd in deltas[1:]) >= 2
         for t, (got, want) in enumerate(zip(decode_stream(deltas), clip)):
             assert got.same_pixels(want), f"frame {t}"
+
+
+class TestConcurrentAppends:
+    @pytest.mark.parametrize("opened", [False, True], ids=["first", "keyed"])
+    def test_concurrent_frames_chain_in_index_order(self, backend, clip, opened):
+        """Frames sent to one session at once each get a distinct index,
+        each delta is taken against the frame one index earlier, and the
+        tail is the frame with the highest index."""
+        streams = StreamingDiffService(SlowBackend(backend))
+        sid = streams.open()
+        sent, received = [], []
+        if opened:
+            sent.append(clip[0])
+            received.append(streams.append_frame(sid, clip[0]))
+        racing = list(clip[len(sent):len(sent) + 4])
+        sent += racing
+        received += append_concurrently(streams, sid, racing)
+        by_index = sorted(zip(received, sent), key=lambda p: p[0].frame_index)
+        assert [fd.frame_index for fd, _ in by_index] == list(range(len(sent)))
+        decoded = decode_stream([fd for fd, _ in by_index])
+        for (fd, frame), got in zip(by_index, decoded):
+            assert got.same_pixels(frame), f"frame {fd.frame_index}"
+        assert streams._session(sid).tail is by_index[-1][1]
+        assert streams.session_stats(sid)["frames"] == float(len(sent))
+
+    def test_stream_layer_does_no_xor(self, backend, monkeypatch):
+        """Deltas come from the backend's engines, the tail is the sent
+        frame and a rekey folds nothing: the stream path calls
+        ``xor_images`` zero times."""
+        calls = []
+        real = ops2d.xor_images
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(ops2d, "xor_images", counting)
+        monkeypatch.setattr(delta_module, "xor_images", counting)
+        clip = generate_sequence(height=64, width=64, n_frames=12, seed=3)
+        streams = StreamingDiffService(
+            backend, policy=StreamPolicy(max_chain=3)
+        )
+        sid = streams.open()
+        deltas = [streams.append_frame(sid, frame) for frame in clip]
+        assert sum(fd.rekeyed for fd in deltas[1:]) >= 2
+        assert calls == []
+        assert streams._session(sid).tail is clip[-1]
 
 
 class TestPolicyValidation:
