@@ -47,7 +47,10 @@ class RLEImage:
             else:
                 width = max((r.extent for r in rows), default=0)
         self._width = int(width)
-        self._rows: Tuple[RLERow, ...] = tuple(r.with_width(self._width) for r in rows)
+        # a row already stamped with the image width is kept as is
+        self._rows: Tuple[RLERow, ...] = tuple(
+            r if r.width == self._width else r.with_width(self._width) for r in rows
+        )
 
     # ------------------------------------------------------------------ #
     # Constructors                                                       #

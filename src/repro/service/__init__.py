@@ -13,8 +13,7 @@ a stream of frames, where most content repeats:
   hashes, what collision checks and in-batch coalescing compare, and
   what disk entries hold.
 - :mod:`repro.service.batcher` — bounded request queue whose worker
-  coalesces concurrent submissions into single
-  :class:`~repro.core.batched.BatchedXorEngine` batches, with
+  coalesces concurrent submissions into one serve call per tick, with
   :class:`~repro.errors.ServiceOverloadError` backpressure.
 - :mod:`repro.service.store` — the persistent tier under the LRU:
   :class:`RowStore`, a content-addressed directory of

@@ -3,14 +3,14 @@
 The batched engine's whole advantage is width — stepping many lanes per
 NumPy operation — but a *service* receives rows one request at a time.
 :class:`RowDiffBatcher` closes that gap: submissions land in a bounded
-queue, a single worker thread drains it once per tick (up to
+queue, and a single worker thread drains it once per tick (up to
 ``max_batch`` requests, waiting at most ``max_latency`` seconds for
-stragglers), serves what it can from the :class:`~repro.service.cache.DiffCache`,
-dedupes identical pending pairs (equal packed bytes), and runs the
-remainder as **one** :class:`~repro.core.batched.BatchedXorEngine`
-batch.  Callers get :class:`concurrent.futures.Future` objects back, so
-a hundred threads submitting concurrently cost one batch, not a hundred
-row runs.
+stragglers) and hands the tick's row pairs to **one** ``serve`` call —
+:class:`~repro.service.DiffService`'s serve routine, which consults the
+cache, dedupes identical pending pairs and runs the misses as one
+:class:`~repro.core.batched.BatchedXorEngine` batch.  Callers get
+:class:`concurrent.futures.Future` objects back, so a hundred threads
+submitting concurrently cost one batch, not a hundred row runs.
 
 Backpressure is explicit: the queue is bounded (``max_pending``) and a
 full queue raises :class:`~repro.errors.ServiceOverloadError` instead of
@@ -34,7 +34,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.rle.row import RLERow
@@ -42,12 +42,8 @@ from repro.core.api import row_diff
 from repro.core.batched import BatchedXorEngine
 from repro.core.machine import XorRunResult, default_cell_count
 from repro.core.options import DiffOptions
-from repro.service.cache import CacheKey, DiffCache, PackedPair, pack_pair
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.metrics import MetricsRegistry
-
-__all__ = ["ComputeFn", "compute_row_diffs", "RowDiffBatcher"]
+__all__ = ["ComputeFn", "ServeFn", "compute_row_diffs", "RowDiffBatcher"]
 
 #: Signature of the engine-batch compute hook: ``(options, rows_a,
 #: rows_b) -> results``.  :func:`compute_row_diffs` is the default;
@@ -59,11 +55,15 @@ ComputeFn = Callable[
     [DiffOptions, Sequence[RLERow], Sequence[RLERow]], List[XorRunResult]
 ]
 
+#: Signature of the per-tick serve call: ``(rows_a, rows_b) -> results``,
+#: one result per pair, in order.
+ServeFn = Callable[[List[RLERow], List[RLERow]], List[XorRunResult]]
+
 #: Default coalescing window: how long the worker waits for more
 #: requests after the first one of a tick arrives.
 DEFAULT_MAX_LATENCY = 0.002
 
-#: Default maximum requests per engine batch.
+#: Default maximum requests per tick.
 DEFAULT_MAX_BATCH = 256
 
 #: Default bound on queued-but-unserved requests before
@@ -127,20 +127,19 @@ class _Request:
 
 
 class RowDiffBatcher:
-    """A worker thread that coalesces row-diff requests into batches.
+    """A bounded queue whose worker thread coalesces row-diff requests
+    into one ``serve`` call per tick.
 
     Parameters
     ----------
-    options:
-        The :class:`~repro.core.options.DiffOptions` every request in
-        this batcher runs under (one batcher = one options bundle; the
-        :class:`~repro.service.DiffService` owns the mapping).
-    cache:
-        Optional :class:`~repro.service.cache.DiffCache` consulted
-        before computing and updated after.  ``None`` disables caching
-        (every request computes).
+    serve:
+        The :data:`ServeFn` called once per tick with the tick's row
+        pairs in submission order; it must return one result per pair.
+        :class:`~repro.service.DiffService` passes its one serve
+        routine (cache, in-batch coalescing, compute, store, counters).
+        If it raises, every future of the tick fails with that error.
     max_batch:
-        Hard cap on requests per engine batch.
+        Hard cap on requests per tick.
     max_latency:
         Seconds the worker waits for more requests after a tick's first
         arrival — the latency cost of coalescing, bounded and
@@ -148,26 +147,14 @@ class RowDiffBatcher:
     max_pending:
         Queue bound; :meth:`submit` past it raises
         :class:`~repro.errors.ServiceOverloadError`.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; batch
-        sizes land in the ``repro_service_batch_size`` histogram and
-        request outcomes in ``repro_service_requests_total``
-        (``outcome`` = ``hit`` / ``computed`` / ``coalesced``).
-    compute:
-        The :data:`ComputeFn` run per engine batch (default
-        :func:`compute_row_diffs`).  Injection point for the chaos and
-        resilience layers.
     """
 
     def __init__(
         self,
-        options: DiffOptions,
-        cache: Optional[DiffCache] = None,
+        serve: ServeFn,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_latency: float = DEFAULT_MAX_LATENCY,
         max_pending: int = DEFAULT_MAX_PENDING,
-        metrics: "Optional[MetricsRegistry]" = None,
-        compute: Optional[ComputeFn] = None,
     ) -> None:
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
@@ -175,11 +162,7 @@ class RowDiffBatcher:
             raise ServiceError(f"max_latency must be >= 0, got {max_latency}")
         if max_pending < 1:
             raise ServiceError(f"max_pending must be >= 1, got {max_pending}")
-        self.options = options.without_observability()
-        self.cache = cache
-        self._compute: ComputeFn = (
-            compute if compute is not None else compute_row_diffs
-        )
+        self._serve = serve
         self.max_batch = max_batch
         self.max_latency = max_latency
         self._queue: "queue.Queue[Optional[_Request]]" = queue.Queue(
@@ -187,29 +170,6 @@ class RowDiffBatcher:
         )
         self._closed = False
         self._close_lock = threading.Lock()
-        #: Guards the ``batches``/``requests`` totals: they are bumped
-        #: from the worker thread (queued path) *and* from caller
-        #: threads (:meth:`record_outcomes`, the service's bulk path),
-        #: and unsynchronized ``+=`` loses increments under concurrency.
-        self._stats_lock = threading.Lock()
-        self.batches = 0
-        self.requests = 0
-        self._metrics = metrics
-        if metrics is not None:
-            outcomes = metrics.counter(
-                "repro_service_requests_total",
-                "row-diff service requests by outcome",
-                ("outcome",),
-            )
-            self._m_hit = outcomes.labels(outcome="hit")
-            self._m_computed = outcomes.labels(outcome="computed")
-            self._m_coalesced = outcomes.labels(outcome="coalesced")
-            self._m_batch_size = metrics.histogram(
-                "repro_service_batch_size",
-                "unique misses computed per engine batch (cache hits and "
-                "coalesced duplicates excluded)",
-                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
-            ).labels()
         self._worker = threading.Thread(
             target=self._run, name="repro-diff-batcher", daemon=True
         )
@@ -219,32 +179,34 @@ class RowDiffBatcher:
     # Submission                                                         #
     # ------------------------------------------------------------------ #
     def submit(self, row_a: RLERow, row_b: RLERow) -> "Future[XorRunResult]":
-        """Enqueue one row pair; the returned future resolves to the
-        same :class:`~repro.core.machine.XorRunResult` a direct
-        :func:`~repro.core.api.row_diff` call would produce.
+        """Enqueue one row pair; the returned future resolves to what
+        ``serve`` returns for it.
 
         Raises :class:`~repro.errors.ServiceOverloadError` when the
         queue is full and :class:`~repro.errors.ServiceError` after
         :meth:`close`.
         """
+        request = _Request(row_a, row_b)
+        # check and enqueue under the lock close() flips the flag under,
+        # so no request can land behind the close sentinel
         with self._close_lock:
             if self._closed:
                 raise ServiceError("submit() after close()")
-        request = _Request(row_a, row_b)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            raise ServiceOverloadError(
-                f"request queue full ({self._queue.maxsize} pending); "
-                f"retry later or raise max_pending"
-            ) from None
+            try:
+                self._queue.put_nowait(request)
+            except queue.Full:
+                raise ServiceOverloadError(
+                    f"request queue full ({self._queue.maxsize} pending); "
+                    f"retry later or raise max_pending"
+                ) from None
         return request.future
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Stop accepting requests, drain the queue, join the worker.
+        """Stop accepting requests and join the worker.
 
         Idempotent.  Already-queued requests complete; their futures
-        resolve normally.
+        resolve normally, also when ``timeout`` runs out first (the
+        worker then finishes them and exits on its own).
         """
         with self._close_lock:
             if self._closed:
@@ -252,59 +214,12 @@ class RowDiffBatcher:
             self._closed = True
         self._queue.put(None)
         self._worker.join(timeout=timeout)
-        # A submit() racing close() can slip a request in behind the
-        # sentinel; fail it explicitly rather than strand its future.
-        while True:
-            try:
-                leftover = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if leftover is not None:
-                leftover.future.set_exception(ServiceError("service closed"))
 
     def __enter__(self) -> "RowDiffBatcher":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------ #
-    # Accounting shared with the service's bulk (whole-image) path       #
-    # ------------------------------------------------------------------ #
-    def record_outcomes(
-        self, hit: int = 0, computed: int = 0, coalesced: int = 0
-    ) -> None:
-        """Fold externally served requests into this batcher's totals
-        and metric families.
-
-        :meth:`DiffService.diff_images <repro.service.DiffService.diff_images>`
-        serves whole images as one bulk cache pass + engine batch
-        (no queue round-trip per row) but reports through the same
-        counters, so ``stats()`` and ``repro_service_requests_total``
-        cover every request however it was served.
-        """
-        with self._stats_lock:
-            self.requests += hit + computed + coalesced
-            if computed:
-                self.batches += 1
-        if self._metrics is not None:
-            if hit:
-                self._m_hit.inc(hit)
-            if computed:
-                self._m_computed.inc(computed)
-                self._m_batch_size.observe(float(computed))
-            if coalesced:
-                self._m_coalesced.inc(coalesced)
-
-    def totals(self) -> Tuple[int, int]:
-        """Consistent ``(requests, batches)`` snapshot under the stats
-        lock — the read-side counterpart of the locked ``+=`` above.
-        Readers outside this class must use it rather than the bare
-        attributes, or they can observe one total mid-update relative
-        to the other.
-        """
-        with self._stats_lock:
-            return self.requests, self.batches
 
     # ------------------------------------------------------------------ #
     # Worker                                                             #
@@ -339,65 +254,19 @@ class RowDiffBatcher:
                     stop = True
                     break
                 batch.append(item)
-            self._serve(batch)
+            self._serve_tick(batch)
             if stop:
                 return
 
-    def _serve(self, batch: List[_Request]) -> None:
+    def _serve_tick(self, batch: List[_Request]) -> None:
         try:
-            self._serve_inner(batch)
+            results = self._serve(
+                [request.row_a for request in batch],
+                [request.row_b for request in batch],
+            )
+            for request, result in zip(batch, results, strict=True):
+                request.future.set_result(result)
         except BaseException as exc:  # noqa: BLE001 - forwarded to callers
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(exc)
-
-    def _serve_inner(self, batch: List[_Request]) -> None:
-        with self._stats_lock:
-            self.requests += len(batch)
-        # 1. cache hits resolve immediately; misses queue for compute,
-        #    deduped so pending pairs with equal packed bytes cost one
-        #    lane (a fingerprint alone may collide).
-        pending: "Dict[PackedPair, List[_Request]]" = {}
-        order: "List[Tuple[Optional[CacheKey], PackedPair, _Request]]" = []
-        for request in batch:
-            key: Optional[CacheKey] = None
-            if self.cache is not None:
-                key = self.cache.key_for(request.row_a, request.row_b, self.options)
-                hit = self.cache.get(key, request.row_a, request.row_b)
-                if hit is not None:
-                    if self._metrics is not None:
-                        self._m_hit.inc()
-                    request.future.set_result(hit)
-                    continue
-            packed = pack_pair(request.row_a, request.row_b)
-            waiters = pending.get(packed)
-            if waiters is None:
-                pending[packed] = [request]
-                order.append((key, packed, request))
-                if self._metrics is not None:
-                    self._m_computed.inc()
-            else:
-                waiters.append(request)
-                if self._metrics is not None:
-                    self._m_coalesced.inc()
-        if not order:
-            return
-        # 2. one engine batch over the unique misses.
-        with self._stats_lock:
-            self.batches += 1
-        if self._metrics is not None:
-            self._m_batch_size.observe(float(len(order)))
-        results = self._compute(
-            self.options,
-            [request.row_a for _, _, request in order],
-            [request.row_b for _, _, request in order],
-        )
-        # a wrong count would strand futures under zip; the _serve
-        # wrapper forwards the typed error to every unresolved one
-        check_computed(len(results), len(order))
-        # 3. store and resolve every waiter.
-        for (key, packed, request), result in zip(order, results):
-            if self.cache is not None and key is not None:
-                self.cache.put(key, request.row_a, request.row_b, result)
-            for waiter in pending[packed]:
-                waiter.future.set_result(result)

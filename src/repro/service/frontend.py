@@ -87,6 +87,7 @@ from repro.service.stream import (
     encode_frame_delta,
     encode_image,
     encode_stream_policy,
+    fold_stream_stats,
 )
 
 __all__ = [
@@ -829,21 +830,13 @@ class ShardedDiffService:
                 futures.append(handle.request("stream_stats", None))
             except ServiceError:
                 continue
-        totals: Dict[str, float] = {}
+        parts: List[Dict[str, float]] = []
         for future in futures:
             try:
-                stats = future.result()
+                parts.append(future.result())
             except ReproError:
                 continue
-            for key, value in stats.items():
-                if key == "compression_ratio":
-                    continue
-                totals[key] = totals.get(key, 0.0) + value
-        shipped = totals.get("shipped_runs", 0.0)
-        totals["compression_ratio"] = (
-            totals.get("raw_runs", 0.0) / shipped if shipped else 1.0
-        )
-        return totals
+        return fold_stream_stats(parts)
 
     def stream_sessions(self) -> List[str]:
         """The ids of every session this front-end currently routes."""

@@ -7,9 +7,11 @@ analogue.  Construct it once with a
 :class:`~repro.core.options.DiffOptions`, keep it alive, and push row or
 image diffs through it; behind the single entry point sit the
 content-addressed result cache (:class:`~repro.service.cache.DiffCache`)
-and the request batcher (:class:`~repro.service.batcher.RowDiffBatcher`),
+and the request queue (:class:`~repro.service.batcher.RowDiffBatcher`),
 so repeated content is never recomputed and concurrent submissions share
-engine batches.
+engine batches.  Queued and bulk requests reach the same serve routine:
+cache lookup, in-batch coalescing of identical pairs, one compute call,
+store, counters.
 
 The contract is strict: a served result is **byte-identical** to what
 the same service would compute with caching disabled (the property tests
@@ -31,6 +33,7 @@ Usage::
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from typing import (
@@ -42,11 +45,12 @@ from typing import (
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
 from concurrent.futures import Future
 
-from repro.errors import GeometryError, ServiceError
+from repro.errors import GeometryError
 from repro.rle.image import RLEImage
 from repro.rle.row import RLERow
 from repro.core.machine import XorRunResult
@@ -102,11 +106,12 @@ class DiffService:
     compute:
         The :data:`~repro.service.batcher.ComputeFn` every engine batch
         runs through (default
-        :func:`~repro.service.batcher.compute_row_diffs`).  Both the
-        queued row path and the bulk image path use it — this is where
-        :class:`~repro.service.chaos.ChaosEngine` and the retry wrapper
-        of :class:`~repro.service.resilience.ResilientDiffService` plug
-        in, *upstream* of the cache so only results that survived the
+        :func:`~repro.service.batcher.compute_row_diffs`).  Queued and
+        bulk requests both reach it through the one serve routine —
+        this is where :class:`~repro.service.chaos.ChaosEngine` and the
+        retry wrapper of
+        :class:`~repro.service.resilience.ResilientDiffService` plug in,
+        *upstream* of the cache so only results that survived the
         wrapper are ever stored.
     log:
         An optional :class:`~repro.obs.log.StructuredLog`.  When set,
@@ -171,14 +176,31 @@ class DiffService:
             if cache_bytes > 0
             else None
         )
+        #: Guards the ``requests``/``batches`` totals: the batcher's
+        #: worker thread and bulk callers' threads both serve.
+        self._stats_lock = threading.Lock()
+        self.requests = 0
+        self.batches = 0
+        if self._metrics is not None:
+            outcomes = self._metrics.counter(
+                "repro_service_requests_total",
+                "row-diff service requests by outcome",
+                ("outcome",),
+            )
+            self._m_hit = outcomes.labels(outcome="hit")
+            self._m_computed = outcomes.labels(outcome="computed")
+            self._m_coalesced = outcomes.labels(outcome="coalesced")
+            self._m_batch_size = self._metrics.histogram(
+                "repro_service_batch_size",
+                "unique misses computed per engine batch (cache hits and "
+                "coalesced duplicates excluded)",
+                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
+            ).labels()
         self._batcher = RowDiffBatcher(
-            self.options,
-            cache=self.cache,
+            self._serve,
             max_batch=max_batch,
             max_latency=max_latency,
             max_pending=max_pending,
-            metrics=opts.metrics,
-            compute=self._compute,
         )
 
     # ------------------------------------------------------------------ #
@@ -188,7 +210,8 @@ class DiffService:
         self, row_a: RLERow, row_b: RLERow
     ) -> "Future[XorRunResult]":
         """Asynchronous row diff — returns a future so many submissions
-        can coalesce into one engine batch.  Raises
+        can coalesce into one serve call per tick.  A tick succeeds or
+        fails as a whole, like one :meth:`diff_rows` request.  Raises
         :class:`~repro.errors.ServiceOverloadError` under backpressure.
         """
         return self._batcher.submit(row_a, row_b)
@@ -249,7 +272,7 @@ class DiffService:
                 f"row sequences differ in length: {len(rows_a)} vs {len(rows_b)}"
             )
         with self._observe("diff_rows", request_id, len(rows_a)):
-            return self._serve_bulk(rows_a, rows_b)
+            return self._serve(rows_a, rows_b)
 
     @contextmanager
     def _observe(
@@ -296,30 +319,28 @@ class DiffService:
             seconds=max(0.0, time.perf_counter() - started),
         )
 
-    def _serve_bulk(
+    def _serve(
         self, rows_a: List[RLERow], rows_b: List[RLERow]
     ) -> List[XorRunResult]:
-        """Cache-check every pair, compute the deduped misses as one
-        engine batch, store, and return results in input order."""
-        if not rows_a:
-            return []
-        if self.cache is None:
-            results = self._compute(self.options, rows_a, rows_b)
-            check_computed(len(results), len(rows_a))
-            self._batcher.record_outcomes(computed=len(results))
-            return results
+        """The one path from row pairs to results, for queued ticks and
+        bulk requests alike: cache-check every pair, coalesce pending
+        pairs with equal packed bytes onto one lane (a fingerprint alone
+        may collide), compute the unique misses as one engine batch,
+        store, count, and return results in input order."""
+        cache = self.cache
         served: List[Optional[XorRunResult]] = [None] * len(rows_a)
         waiters: Dict[PackedPair, List[int]] = {}
-        order: List[Tuple[CacheKey, PackedPair, int]] = []
-        hits = coalesced = 0
+        order: List[Tuple[Optional[CacheKey], PackedPair, int]] = []
+        hits = 0
         for i, (ra, rb) in enumerate(zip(rows_a, rows_b)):
-            key = self.cache.key_for(ra, rb, self.options)
-            hit = self.cache.get(key, ra, rb)
-            if hit is not None:
-                served[i] = hit
-                hits += 1
-                continue
-            # coalesce on the packed bytes: a fingerprint alone may collide
+            key: Optional[CacheKey] = None
+            if cache is not None:
+                key = cache.key_for(ra, rb, self.options)
+                hit = cache.get(key, ra, rb)
+                if hit is not None:
+                    served[i] = hit
+                    hits += 1
+                    continue
             packed = pack_pair(ra, rb)
             indices = waiters.get(packed)
             if indices is None:
@@ -327,49 +348,45 @@ class DiffService:
                 order.append((key, packed, i))
             else:
                 indices.append(i)
-                coalesced += 1
         if order:
             computed = self._compute(
                 self.options,
                 [rows_a[i] for _, _, i in order],
                 [rows_b[i] for _, _, i in order],
             )
-            # A short compute used to be masked here: zip dropped the
-            # trailing misses and the leftover None slots were filtered
-            # out of the return, yielding an image with fewer rows than
-            # its inputs.  Validate the count and raise instead.
+            # a wrong count would leave slots unserved under zip
             check_computed(len(computed), len(order))
             for (key, packed, i), result in zip(order, computed):
-                self.cache.put(key, rows_a[i], rows_b[i], result)
+                if cache is not None and key is not None:
+                    cache.put(key, rows_a[i], rows_b[i], result)
                 for j in waiters[packed]:
                     served[j] = result
-        self._batcher.record_outcomes(
-            hit=hits, computed=len(order), coalesced=coalesced
-        )
-        unfilled = [i for i, r in enumerate(served) if r is None]
-        if unfilled:
-            raise ServiceError(
-                f"bulk serve left {len(unfilled)} of {len(served)} rows "
-                f"unserved (first unfilled index {unfilled[0]}); refusing "
-                f"to return a short image"
-            )
-        return [r for r in served if r is not None]
+        coalesced = len(rows_a) - hits - len(order)
+        with self._stats_lock:
+            self.requests += len(rows_a)
+            if order:
+                self.batches += 1
+        if self._metrics is not None:
+            if hits:
+                self._m_hit.inc(hits)
+            if order:
+                self._m_computed.inc(len(order))
+                self._m_batch_size.observe(float(len(order)))
+            if coalesced:
+                self._m_coalesced.inc(coalesced)
+        return cast(List[XorRunResult], served)
 
     # ------------------------------------------------------------------ #
     # Introspection / lifecycle                                          #
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, float]:
-        """Cache counters plus batcher totals, as one plain dict."""
+        """Cache counters plus request totals, as one plain dict."""
         info: Dict[str, float] = (
             self.cache.info() if self.cache is not None else {"hit_rate": 0.0}
         )
-        # totals() snapshots both counters under the batcher's stats
-        # lock; reading the attributes bare here could interleave with a
-        # worker-thread bump and pair a fresh `requests` with a stale
-        # `batches` (RLE101's cross-class blind spot, handled manually).
-        requests, batches = self._batcher.totals()
-        info["batches"] = float(batches)
-        info["requests"] = float(requests)
+        with self._stats_lock:
+            info["batches"] = float(self.batches)
+            info["requests"] = float(self.requests)
         return info
 
     def close(self, timeout: Optional[float] = None) -> None:

@@ -69,6 +69,7 @@ __all__ = [
     "FrameDelta",
     "StreamSession",
     "StreamingDiffService",
+    "fold_stream_stats",
     "ImageWire",
     "FrameDeltaWire",
     "StreamPolicyWire",
@@ -506,17 +507,26 @@ class StreamingDiffService:
         session totals themselves."""
         with self._lock:
             sessions = list(self._sessions.values())
-        totals: Dict[str, float] = {"sessions_open": float(len(sessions))}
-        for session in sessions:
-            for key, value in session.stats().items():
-                if key == "compression_ratio":
-                    continue
-                totals[key] = totals.get(key, 0.0) + value
-        shipped = totals.get("shipped_runs", 0.0)
-        totals["compression_ratio"] = (
-            totals.get("raw_runs", 0.0) / shipped if shipped else 1.0
+        return fold_stream_stats(
+            [{"sessions_open": float(len(sessions))}]
+            + [session.stats() for session in sessions]
         )
-        return totals
+
+
+def fold_stream_stats(parts: List[Dict[str, float]]) -> Dict[str, float]:
+    """Sum stream counters over sessions (or workers): every key but
+    ``compression_ratio``, which is recomputed from the summed run
+    counts."""
+    totals: Dict[str, float] = {}
+    for stats in parts:
+        for key, value in stats.items():
+            if key != "compression_ratio":
+                totals[key] = totals.get(key, 0.0) + value
+    shipped = totals.get("shipped_runs", 0.0)
+    totals["compression_ratio"] = (
+        totals.get("raw_runs", 0.0) / shipped if shipped else 1.0
+    )
+    return totals
 
 
 # --------------------------------------------------------------------- #

@@ -50,6 +50,17 @@ class TestConstruction:
         img = RLEImage(rows, width=10)
         assert img[0].width == 10
 
+    def test_matching_width_row_kept(self):
+        # a row already at the image width is not rebuilt: same object,
+        # packed slot intact; a row with another width is restamped
+        kept = RLERow.from_pairs([(0, 2), (5, 1)], width=10)
+        packed = kept.packed
+        other = RLERow.from_pairs([(1, 1)], width=12)
+        img = RLEImage([kept, other], width=10)
+        assert img[0] is kept
+        assert img[0].packed is packed
+        assert img[1] is not other and img[1].width == 10
+
     def test_empty_image(self):
         img = RLEImage([], width=7)
         assert img.shape == (0, 7)

@@ -1,7 +1,8 @@
 """Stateful fuzz of the batcher lifecycle.
 
 A :class:`~hypothesis.stateful.RuleBasedStateMachine` drives a real
-:class:`~repro.service.batcher.RowDiffBatcher` (live worker thread)
+:class:`~repro.service.batcher.RowDiffBatcher` (live worker thread),
+reached through the :class:`~repro.service.DiffService` that owns it,
 through arbitrary interleavings of submission, worker stalls, overload
 pressure and close, and checks the contract after every step:
 
@@ -37,7 +38,8 @@ from hypothesis import strategies as st
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.rle.row import RLERow
 from repro.core.options import DiffOptions
-from repro.service.batcher import RowDiffBatcher, compute_row_diffs
+from repro.service import DiffService
+from repro.service.batcher import compute_row_diffs
 
 OPTS = DiffOptions(engine="batched")
 
@@ -53,6 +55,7 @@ PAIRS = [
 EXPECTED = [compute_row_diffs(OPTS, [a], [b])[0] for a, b in PAIRS]
 
 MAX_PENDING = 3
+MAX_BATCH = 2
 
 
 class BatcherLifecycle(RuleBasedStateMachine):
@@ -60,9 +63,11 @@ class BatcherLifecycle(RuleBasedStateMachine):
         super().__init__()
         self.gate = threading.Event()
         self.gate.set()
-        self.batcher = RowDiffBatcher(
+        # no cache, so every tick reaches the gated compute
+        self.service = DiffService(
             OPTS,
-            max_batch=2,
+            cache_bytes=0,
+            max_batch=MAX_BATCH,
             max_latency=0.0,
             max_pending=MAX_PENDING,
             compute=self._gated_compute,
@@ -81,10 +86,10 @@ class BatcherLifecycle(RuleBasedStateMachine):
         a, b = PAIRS[i]
         if self.closed:
             with pytest.raises(ServiceError):
-                self.batcher.submit(a, b)
+                self.service.submit_row_diff(a, b)
             return
         try:
-            self.accepted.append((i, self.batcher.submit(a, b)))
+            self.accepted.append((i, self.service.submit_row_diff(a, b)))
         except ServiceOverloadError:
             # legitimate whenever the queue is (even transiently) full:
             # a stalled worker, or one that has not yet drained a burst
@@ -102,19 +107,22 @@ class BatcherLifecycle(RuleBasedStateMachine):
     @rule(i=st.integers(0, len(PAIRS) - 1))
     def overload_pressure(self, i):
         """With the worker stalled, pushing past the queue bound must
-        reject with the typed overload error, not block or drop."""
+        reject with the typed overload error, not block or drop.  The
+        stalled worker may already hold a tick of up to ``MAX_BATCH``
+        requests, so the bound is ``MAX_PENDING + MAX_BATCH``."""
         self.gate.clear()
         a, b = PAIRS[i]
-        for _ in range(MAX_PENDING + 1):
+        for _ in range(MAX_PENDING + MAX_BATCH + 1):
             try:
-                self.accepted.append((i, self.batcher.submit(a, b)))
+                self.accepted.append((i, self.service.submit_row_diff(a, b)))
             except ServiceOverloadError:
                 self.saw_overload = True
                 break
         else:
             raise AssertionError(
-                f"{MAX_PENDING + 1} submits over a bounded queue of "
-                f"{MAX_PENDING} never overloaded"
+                f"{MAX_PENDING + MAX_BATCH + 1} submits over a bounded "
+                f"queue of {MAX_PENDING} and a tick of {MAX_BATCH} never "
+                f"overloaded"
             )
         self.gate.set()
 
@@ -128,7 +136,7 @@ class BatcherLifecycle(RuleBasedStateMachine):
     @rule()
     def close(self):
         self.gate.set()  # closing with a stalled worker would deadlock
-        self.batcher.close(timeout=10.0)
+        self.service.close(timeout=10.0)
         self.closed = True
 
     # -- invariants ---------------------------------------------------- #
@@ -143,19 +151,19 @@ class BatcherLifecycle(RuleBasedStateMachine):
 
     @invariant()
     def counters_cover_the_accepted_requests(self):
-        assert self.batcher.requests >= 0
-        assert self.batcher.batches >= 0
+        stats = self.service.stats()
+        assert 0 <= stats["batches"] <= stats["requests"] <= len(self.accepted)
 
     def teardown(self):
         self.gate.set()
         if not self.closed:
-            self.batcher.close(timeout=10.0)
+            self.service.close(timeout=10.0)
         # close() drains: every accepted future must now be resolved
         for i, future in self.accepted:
             assert future.done(), "close() abandoned an accepted future"
             got = future.result()
             assert got.result.to_pairs() == EXPECTED[i].result.to_pairs()
-        self.batcher.close(timeout=10.0)  # idempotent
+        self.service.close(timeout=10.0)  # idempotent
 
 
 BatcherLifecycle.TestCase.settings = settings(

@@ -12,7 +12,6 @@ from repro.core.options import ENGINE_NAMES, DiffOptions
 from repro.core.pipeline import diff_images
 from repro.obs.metrics import MetricsRegistry
 from repro.service import DiffService
-from repro.service.batcher import RowDiffBatcher
 from repro.service.cache import DiffCache, row_fingerprint
 from tests.conftest import row_pairs
 
@@ -330,14 +329,16 @@ class TestCoalescingComparesContent:
         a2 = RLERow.from_pairs([(49, 2)], width=64)
         b = RLERow.from_pairs([(40, 3)], width=64)
         assert weak.key_for(a1, b, options) == weak.key_for(a2, b, options)
-        if path == "bulk":
-            with DiffService(options, **FAST) as service:
-                service.cache = weak
+        # a long window keeps both queued submissions in one tick
+        with DiffService(options, max_latency=0.5) as service:
+            service.cache = weak
+            if path == "bulk":
                 got = service.diff_rows([a1, a2], [b, b])
-        else:
-            # a long window keeps both submissions in one tick
-            with RowDiffBatcher(options, cache=weak, max_latency=0.5) as batcher:
-                futures = [batcher.submit(a1, b), batcher.submit(a2, b)]
+            else:
+                futures = [
+                    service.submit_row_diff(a1, b),
+                    service.submit_row_diff(a2, b),
+                ]
                 got = [future.result(timeout=10) for future in futures]
         assert [r.result.to_pairs() for r in got] == [
             [(5, 2), (40, 3)],
